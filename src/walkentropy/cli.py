@@ -24,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .entropy import entropy_scan, scan_csv_lines, walk_entropy
+from .entropy import MAXIMALITY_TOL, entropy_scan, scan_csv_lines, walk_entropy
 from .graphs import EdgeListError, Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
@@ -33,6 +33,7 @@ from .spectral import (
     eigendecompose,
 )
 from .temperature import (
+    CROSSING_SPREAD_TOL,
     IndistinguishableClassesError,
     find_crossings,
     verify_counterexample,
@@ -104,6 +105,16 @@ def _reject_csv(args) -> None:
         raise UsageError(f"csv output is not supported for {args.command}")
 
 
+def _print_verdict(verdict) -> None:
+    print(f"walk-regular: {'true' if verdict.is_walk_regular else 'false'}")
+    if verdict.witness is not None:
+        w = verdict.witness
+        print(
+            f"witness: length {w.length}, vertices {w.u} and {w.v}, "
+            f"counts {w.count_u} vs {w.count_v}"
+        )
+
+
 def _cmd_gen_hm(args) -> int:
     sys.stdout.write(serialize_edge_list(hm_graph(args.m)))
     return 0
@@ -115,13 +126,7 @@ def _cmd_check_walk_regular(args) -> int:
         _print_json(verdict.as_dict())
         return 0
     _reject_csv(args)
-    print(f"walk-regular: {'true' if verdict.is_walk_regular else 'false'}")
-    if verdict.witness is not None:
-        w = verdict.witness
-        print(
-            f"witness: length {w.length}, vertices {w.u} and {w.v}, "
-            f"counts {w.count_u} vs {w.count_v}"
-        )
+    _print_verdict(verdict)
     reps = ", ".join(str(c[0]) for c in verdict.classes)
     print(f"classes: {len(verdict.classes)} (representatives: {reps})")
     return 0
@@ -143,7 +148,7 @@ def _entropy_report_dict(report) -> dict:
 def _cmd_entropy(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else MAXIMALITY_TOL
     report = walk_entropy(d, args.beta, tol)
     if args.format == "json":
         _print_json(_entropy_report_dict(report))
@@ -163,7 +168,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_scan(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else MAXIMALITY_TOL
     reports = entropy_scan(d, args.beta_min, args.beta_max, args.step, tol)
     reps = [c[0] for c in vertex_classes(g)]
     if args.format == "csv":
@@ -197,7 +202,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_find_crossings(args) -> int:
     g = _load_graph(args)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else CROSSING_SPREAD_TOL
     scan = find_crossings(g, args.beta_max, args.step, tol)
     if args.format == "json":
         _print_json(scan.as_dict())
@@ -225,22 +230,13 @@ def _cmd_find_crossings(args) -> int:
 
 def _cmd_verify_counterexample(args) -> int:
     g = _load_graph(args)
-    beta_one_tol = args.tol if args.tol is not None else 1e-10
-    report = verify_counterexample(
-        g, args.beta_max, args.step, beta_one_tol=beta_one_tol
-    )
+    tol = args.tol if args.tol is not None else MAXIMALITY_TOL
+    report = verify_counterexample(g, args.beta_max, args.step, beta_one_tol=tol)
     if args.format == "json":
         _print_json(report.as_dict())
         return 0
     _reject_csv(args)
-    verdict = report.verdict
-    print(f"walk-regular: {'true' if verdict.is_walk_regular else 'false'}")
-    if verdict.witness is not None:
-        w = verdict.witness
-        print(
-            f"witness: length {w.length}, vertices {w.u} and {w.v}, "
-            f"counts {w.count_u} vs {w.count_v}"
-        )
+    _print_verdict(report.verdict)
     hist = ", ".join(f"{d}: {c}" for d, c in sorted(report.degree_histogram.items()))
     print(f"degree histogram: {{{hist}}}")
     if report.scan.walk_regular:
@@ -286,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="F",
-        help="maximality tolerance override (defaults: 1e-10; find-crossings 1e-8)",
+        help=f"maximality tolerance override (defaults: {MAXIMALITY_TOL:g}; "
+        f"find-crossings {CROSSING_SPREAD_TOL:g})".replace("e-0", "e-"),  # 1e-08 -> 1e-8
     )
 
     p = sub.add_parser("gen-hm", help="emit the hub-matching graph HM(M)")

@@ -88,7 +88,7 @@ def is_entropy_maximal(
     """True iff all diagonal entries of exp(beta*A) agree within relative ``tol``."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    return relative_spread(centrality_diagonal(d, beta).values) <= tol
+    return entropy_from_diagonal(centrality_diagonal(d, beta), tol).is_maximal
 
 
 def entropy_scan(

@@ -8,14 +8,14 @@ qualifies as a maximal-entropy temperature only if the *full* diagonal
 spread vanishes at it, not just the bisected pair.
 
 Two details guard the endpoints.  As beta -> 0+ every difference tends to
-0 (exp(0) = I), so the sign at the left end of the first cell is taken
-from the first differing exact walk count of the pair, an integer
-comparison immune to floating noise; beta = 0 itself is excluded, every
-graph being trivially maximal there.  As beta -> infinity the class whose
-grouped-weight vector is lexicographically largest (over distinct
-eigenvalues, descending) dominates; :func:`dominance` reports that class
-and a horizon beta beyond which its lead is certified by a remainder
-bound, so no roots exist past it.
+0 (exp(0) = I), so the sign at 0+ comes from the first differing exact
+walk count of the pair, an integer comparison, and a grid node whose
+difference is round-off repeats the last resolved sign; beta = 0 itself
+is excluded, every graph being trivially maximal there.  As beta ->
+infinity the class whose grouped-weight vector is lexicographically
+largest (over distinct eigenvalues, descending) dominates;
+:func:`dominance` reports that class and a horizon beta beyond which its
+lead is certified by a remainder bound, so no roots exist past it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import relative_spread, is_entropy_maximal
+from .entropy import MAXIMALITY_TOL, is_entropy_maximal, relative_spread
 from .graphs import Graph, degree_summary
 from .spectral import (
     SpectralDecomposition,
@@ -35,13 +35,7 @@ from .spectral import (
     eigendecompose,
     exp_eigenvalues,
 )
-from .walks import (
-    ExactWalkTable,
-    WalkRegularityVerdict,
-    classes_from_table,
-    closed_walk_table,
-    is_walk_regular,
-)
+from .walks import ExactWalkTable, WalkRegularityVerdict, _verdict, closed_walk_table
 
 __all__ = [
     "CROSSING_SPREAD_TOL",
@@ -73,6 +67,10 @@ REFINE_TRIGGER = 1e-6
 
 #: Sub-grid resolution of the refinement pass, as a divisor of the grid step.
 REFINE_FACTOR = 100
+
+#: |difference| below this multiple of mean f is round-off: its sign is
+#: unresolved and the previous resolved sign carries over.
+SIGN_FLOOR = 1e-13
 
 
 class CoarseGridWarning(UserWarning):
@@ -198,25 +196,39 @@ def _zero_plus_sign(table: ExactWalkTable, i: int, j: int) -> int:
     raise ValueError(f"vertices {i} and {j} have identical walk profiles")
 
 
-def _bisect(
-    wdiff: np.ndarray,
-    eigenvalues: np.ndarray,
-    lo: float,
-    hi: float,
-    sign_lo: int,
-    width: float,
-) -> tuple[float, float]:
-    """Shrink a sign-change bracket to at most ``width``."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        val = float(wdiff @ np.exp(mid * eigenvalues))
-        if val == 0.0:
-            return mid, mid
-        if (1 if val > 0.0 else -1) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _resolved_signs(values: np.ndarray, mean_f: np.ndarray, first: int) -> np.ndarray:
+    """Signs of ``values`` on a grid, the first node set to ``first``.
+
+    A node with |value| below ``SIGN_FLOOR * mean_f`` is round-off and
+    repeats the previous resolved sign.
+    """
+    signs = np.sign(values).astype(int)
+    signs[np.abs(values) < SIGN_FLOOR * mean_f] = 0
+    signs[0] = first
+    return signs[np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))]
+
+
+def _bisect_changes(
+    wdiff: np.ndarray, eigenvalues: np.ndarray, grid: np.ndarray, signs: np.ndarray
+) -> list[tuple[float, float, float]]:
+    """Bisect every grid cell across which ``signs`` changes.
+
+    Returns (root, lo, hi) per cell, each bracket at most ``BRACKET_WIDTH`` wide.
+    """
+    roots = []
+    for t in np.nonzero(signs[:-1] != signs[1:])[0]:
+        lo, hi, sign_lo = float(grid[t]), float(grid[t + 1]), int(signs[t])
+        while hi - lo > BRACKET_WIDTH:
+            mid = 0.5 * (lo + hi)
+            val = float(wdiff @ np.exp(mid * eigenvalues))
+            if val == 0.0:
+                lo = hi = mid
+            elif (1 if val > 0.0 else -1) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        roots.append((0.5 * (lo + hi), lo, hi))
+    return roots
 
 
 def _scan_pair(
@@ -230,30 +242,14 @@ def _scan_pair(
 ) -> tuple[list[tuple[float, float, float, tuple[int, int]]], list[str]]:
     """Brackets and bisected roots for one class pair over the grid."""
     wdiff = d.weights[pair[0]] - d.weights[pair[1]]
-    signs = np.sign(diff).astype(int)
-    signs[0] = sign_zero_plus  # beta = 0 is an exact tie; use the walk-count sign
-
-    candidates: list[tuple[float, float, float, tuple[int, int]]] = []
+    # beta = 0 is an exact tie; start from the walk-count sign at 0+
+    signs = _resolved_signs(diff, mean_f, sign_zero_plus)
+    candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
     notes: list[str] = []
-
-    for t in np.nonzero(signs[1:] == 0)[0] + 1:  # exact zero on a grid node
-        b = float(betas[t])
-        candidates.append((b, b, b, pair))
-
-    change = signs[:-1] * signs[1:] < 0
-    for t in np.nonzero(change)[0]:
-        lo, hi = _bisect(
-            wdiff,
-            d.eigenvalues,
-            float(betas[t]),
-            float(betas[t + 1]),
-            int(signs[t]),
-            BRACKET_WIDTH,
-        )
-        candidates.append((0.5 * (lo + hi), lo, hi, pair))
 
     # Refinement: a near-zero local minimum of |diff| without an adjacent
     # sign change may hide a closely-spaced root pair inside one cell.
+    change = signs[:-1] != signs[1:]
     absd = np.abs(diff)
     interior = (
         (absd[1:-1] <= absd[:-2])
@@ -267,20 +263,9 @@ def _scan_pair(
         # grid_step when beta_max is not step-aligned, so interpolate rather
         # than assume a uniform width
         sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
-        vals = np.exp(np.outer(sub, d.eigenvalues)) @ wdiff
-        sub_signs = np.sign(vals).astype(int)
-        if betas[t - 1] == 0.0:
-            sub_signs[0] = sign_zero_plus
-        for s in np.nonzero(sub_signs[:-1] * sub_signs[1:] < 0)[0]:
-            lo, hi = _bisect(
-                wdiff,
-                d.eigenvalues,
-                float(sub[s]),
-                float(sub[s + 1]),
-                int(sub_signs[s]),
-                BRACKET_WIDTH,
-            )
-            root = 0.5 * (lo + hi)
+        exps = np.exp(np.outer(sub, d.eigenvalues))
+        sub_signs = _resolved_signs(exps @ wdiff, exps.mean(axis=1), int(signs[t - 1]))
+        for root, lo, hi in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
             candidates.append((root, lo, hi, pair))
             notes.append(
                 f"grid step {grid_step:g} too coarse near beta={root:.9g}: "
@@ -289,21 +274,14 @@ def _scan_pair(
     return candidates, notes
 
 
-def find_crossings(
-    g: Graph,
-    beta_max: float = 10.0,
-    grid_step: float = 0.01,
-    spread_tol: float = CROSSING_SPREAD_TOL,
-) -> CrossingScan:
-    """Locate every beta in (0, beta_max] at which walk entropy is maximal.
+def _scan(
+    g: Graph, beta_max: float, grid_step: float, spread_tol: float
+) -> tuple[WalkRegularityVerdict, CrossingScan, SpectralDecomposition | None]:
+    """Shared body of :func:`find_crossings` and :func:`verify_counterexample`.
 
-    Walk-regular graphs short-circuit to the "maximal for all beta" marker.
-    Otherwise every pair of vertex-class representatives is scanned for
-    sign changes of its centrality difference, each bracket is bisected to
-    width <= 1e-12, and bisected roots where the remaining classes do not
-    agree are reported separately as pairwise-only crossings.  Roots the
-    main grid missed but the refinement pass caught are accompanied by a
-    :class:`CoarseGridWarning`.
+    Builds the exact walk table once and the eigendecomposition at most once
+    (``None`` when the graph is walk-regular) and hands both back with the
+    scan.  Warnings point at the caller of the public function.
     """
     if beta_max <= 0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
@@ -311,9 +289,10 @@ def find_crossings(
         raise ValueError(f"grid_step must be positive, got {grid_step}")
 
     table = closed_walk_table(g, max(1, g.n - 1))
-    classes = classes_from_table(table)
-    if len(classes) == 1:
-        return CrossingScan(True, classes, (), (), ())
+    verdict = _verdict(table)
+    classes = verdict.classes
+    if verdict.is_walk_regular:
+        return verdict, CrossingScan(True, classes, (), (), ()), None
 
     d = eigendecompose(g)
     exp_eigenvalues(d, beta_max)  # fail fast on overflow before scanning
@@ -346,7 +325,7 @@ def find_crossings(
             notes.extend(pair_notes)
 
     for note in notes:
-        warnings.warn(note, CoarseGridWarning, stacklevel=2)
+        warnings.warn(note, CoarseGridWarning, stacklevel=3)
 
     candidates.sort(key=lambda c: c[0])
     merged: list[tuple[float, float, float, tuple[int, int]]] = []
@@ -373,7 +352,27 @@ def find_crossings(
         else:
             pairwise.append(PairwiseCrossing(beta_star, pair, spread))
 
-    return CrossingScan(False, classes, tuple(crossings), tuple(pairwise), tuple(notes))
+    scan = CrossingScan(False, classes, tuple(crossings), tuple(pairwise), tuple(notes))
+    return verdict, scan, d
+
+
+def find_crossings(
+    g: Graph,
+    beta_max: float = 10.0,
+    grid_step: float = 0.01,
+    spread_tol: float = CROSSING_SPREAD_TOL,
+) -> CrossingScan:
+    """Locate every beta in (0, beta_max] at which walk entropy is maximal.
+
+    Walk-regular graphs short-circuit to the "maximal for all beta" marker.
+    Otherwise every pair of vertex-class representatives is scanned for
+    sign changes of its centrality difference, each bracket is bisected to
+    width <= 1e-12, and bisected roots where the remaining classes do not
+    agree are reported separately as pairwise-only crossings.  Roots the
+    main grid missed but the refinement pass caught are accompanied by a
+    :class:`CoarseGridWarning`.
+    """
+    return _scan(g, beta_max, grid_step, spread_tol)[1]
 
 
 def _lex_compare(x: np.ndarray, y: np.ndarray, tol: float) -> int:
@@ -475,7 +474,7 @@ def verify_counterexample(
     beta_max: float = 10.0,
     grid_step: float = 0.01,
     spread_tol: float = CROSSING_SPREAD_TOL,
-    beta_one_tol: float = 1e-10,
+    beta_one_tol: float = MAXIMALITY_TOL,
 ) -> CounterexampleReport:
     """Full diagnostic: exact walk-regularity, crossings, and conjecture checks.
 
@@ -484,9 +483,9 @@ def verify_counterexample(
     whether entropy is maximal at beta = 1 and whether the number of located
     crossings stays within n - 1, the two open conjectures worth tracking.
     """
-    verdict = is_walk_regular(g)
-    scan = find_crossings(g, beta_max, grid_step, spread_tol)
-    d = eigendecompose(g)
+    verdict, scan, d = _scan(g, beta_max, grid_step, spread_tol)
+    if d is None:  # walk-regular: the scan needed no decomposition
+        d = eigendecompose(g)
     count = len(scan.crossings)
     return CounterexampleReport(
         verdict=verdict,

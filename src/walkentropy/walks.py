@@ -20,7 +20,6 @@ __all__ = [
     "WalkRegularityWitness",
     "WalkRegularityVerdict",
     "closed_walk_table",
-    "classes_from_table",
     "vertex_classes",
     "is_walk_regular",
 ]
@@ -101,12 +100,27 @@ def closed_walk_table(g: Graph, L: int) -> ExactWalkTable:
     return ExactWalkTable(L, tuple(tuple(row) for row in diag))
 
 
-def classes_from_table(table: ExactWalkTable) -> tuple[tuple[int, ...], ...]:
-    """Group vertices with identical closed-walk profiles, ordered by representative."""
+def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:
+    """Walk-regularity verdict from a table over lengths 0..n-1.
+
+    The witness is the first length at which a vertex disagrees with
+    vertex 0; classes group vertices by profile, smallest member first.
+    """
+    first = table.diag[0]
+    witness = next(
+        (
+            WalkRegularityWitness(length, 0, j, first[length], row[length])
+            for length in range(table.L + 1)
+            for j, row in enumerate(table.diag)
+            if row[length] != first[length]
+        ),
+        None,
+    )
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, profile in enumerate(table.diag):
         groups.setdefault(profile, []).append(i)
-    return tuple(tuple(members) for members in sorted(groups.values()))
+    classes = tuple(tuple(members) for members in sorted(groups.values()))
+    return WalkRegularityVerdict(witness is None, witness, classes)
 
 
 def vertex_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -116,7 +130,7 @@ def vertex_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     length (profiles up to n-1 determine all higher powers), hence
     identical subgraph-centrality functions of beta.
     """
-    return classes_from_table(closed_walk_table(g, max(1, g.n - 1)))
+    return is_walk_regular(g).classes
 
 
 def is_walk_regular(g: Graph) -> WalkRegularityVerdict:
@@ -125,15 +139,4 @@ def is_walk_regular(g: Graph) -> WalkRegularityVerdict:
     Checks lengths 0..n-1 only (sufficient, see module docstring) and
     reports the first violated length with a differing vertex pair.
     """
-    table = closed_walk_table(g, max(1, g.n - 1))
-    witness = None
-    for length in range(table.L + 1):
-        ref = table.diag[0][length]
-        for j in range(1, g.n):
-            c = table.diag[j][length]
-            if c != ref:
-                witness = WalkRegularityWitness(length, 0, j, ref, c)
-                break
-        if witness is not None:
-            break
-    return WalkRegularityVerdict(witness is None, witness, classes_from_table(table))
+    return _verdict(closed_walk_table(g, max(1, g.n - 1)))

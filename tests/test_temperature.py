@@ -2,15 +2,21 @@
 
 import math
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import walkentropy.spectral
+import walkentropy.temperature
+import walkentropy.walks
 from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star_graph
 from walkentropy.spectral import eigendecompose
 from walkentropy.temperature import (
+    CoarseGridWarning,
     IndistinguishableClassesError,
+    _resolved_signs,
     _scan_pair,
     class_difference,
     dominance,
@@ -23,6 +29,10 @@ from walkentropy.walks import vertex_classes
 # external anchors are 0.499 and 1.912 at 5e-3
 H4_ROOT_LOW = 0.499001412933
 H4_ROOT_HIGH = 1.912023505180
+
+# a tree whose leaves 1 and 5 first differ in closed-walk count at length 6,
+# so their spectral difference at beta = 0.01 (~1e-15) is round-off
+DEEP_PAIR_TREE = Graph(7, frozenset({(0, 3), (0, 4), (1, 2), (2, 4), (3, 5), (4, 6)}))
 
 
 class TestClassDifference:
@@ -145,6 +155,61 @@ class TestFindCrossings:
         assert len(notes) == 2
         assert "too coarse" in notes[0]
 
+    def test_round_off_near_zero_is_not_a_crossing(self):
+        scan = find_crossings(DEEP_PAIR_TREE)
+        assert len(scan.classes) == 7
+        assert scan.crossings == ()
+        assert scan.pairwise_only == ()
+        assert scan.warnings == ()
+
+    def test_unresolved_signs_repeat_the_last_resolved_sign(self):
+        values = np.array([0.0, 1e-16, -1e-16, 0.5, 1e-20, -0.3, 0.0])
+        signs = _resolved_signs(values, np.ones_like(values), -1)
+        assert signs.tolist() == [-1, -1, -1, 1, 1, -1, -1]
+
+    def test_coarse_grid_warning_points_at_the_caller(self, monkeypatch):
+        real = walkentropy.temperature._scan_pair
+
+        def noisy(*args):
+            candidates, notes = real(*args)
+            return candidates, notes + ["synthetic note"]
+
+        monkeypatch.setattr(walkentropy.temperature, "_scan_pair", noisy)
+        for fn in (find_crossings, verify_counterexample):
+            with pytest.warns(CoarseGridWarning) as record:
+                fn(hm_graph(4))
+            assert [w.filename for w in record] == [__file__]
+
+
+class TestWorkCounts:
+    """Each request builds the exact walk table once and eigendecomposes at most once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for module, name in (
+            (walkentropy.walks, "closed_walk_table"),
+            (walkentropy.spectral, "eigendecompose"),
+        ):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(walkentropy.temperature, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("graph", [hm_graph(4), complete_graph(4)], ids=["HM4", "K4"])
+    def test_verify_counterexample(self, counts, graph):
+        verify_counterexample(graph)
+        assert counts == {"closed_walk_table": 1, "eigendecompose": 1}
+
+    def test_find_crossings_skips_eigh_when_walk_regular(self, counts):
+        find_crossings(complete_graph(4))
+        assert counts == {"closed_walk_table": 1}
+
 
 class TestDominance:
     def test_h4_hub_class_leads(self):
@@ -208,6 +273,11 @@ class TestVerifyCounterexample:
         assert report.verdict.is_walk_regular
         assert report.scan.walk_regular
         assert report.entropy_maximal_at_beta_one
+
+    def test_deep_pair_tree_is_not_a_counterexample(self):
+        report = verify_counterexample(DEEP_PAIR_TREE)
+        assert not report.is_counterexample
+        assert report.crossing_count == 0
 
     def test_star_is_not_a_counterexample(self):
         report = verify_counterexample(star_graph(3))

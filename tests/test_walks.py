@@ -14,12 +14,7 @@ from walkentropy.graphs import (
     petersen_graph,
     star_graph,
 )
-from walkentropy.walks import (
-    classes_from_table,
-    closed_walk_table,
-    is_walk_regular,
-    vertex_classes,
-)
+from walkentropy.walks import closed_walk_table, is_walk_regular, vertex_classes
 
 
 class TestClosedWalkTable:
@@ -151,7 +146,6 @@ class TestVertexClasses:
                         assert any(cell <= old for old in previous)
                 previous = cells
 
-    def test_classes_from_table_orders_by_representative(self):
-        table = closed_walk_table(star_graph(3), 3)
-        classes = classes_from_table(table)
+    def test_classes_ordered_by_representative(self):
+        classes = is_walk_regular(star_graph(3)).classes
         assert [c[0] for c in classes] == sorted(c[0] for c in classes)
