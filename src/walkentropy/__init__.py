@@ -5,110 +5,24 @@ distribution proportional to the diagonal of exp(beta*A).  This package
 decides walk-regularity exactly (arbitrary-precision walk counts), builds
 the hub-matching family HM(m) of non-degree-regular graphs that still
 attain maximal entropy at isolated temperatures, and locates all such
-temperatures by bracketing and bisection.
+temperatures by bracketing and bisection.  It re-exports each module's
+``__all__``, so a public name is declared once, where it is defined.
 """
 
-from .entropy import (
-    EntropyReport,
-    entropy_from_diagonal,
-    entropy_scan,
-    is_entropy_maximal,
-    scan_csv_lines,
-    walk_entropy,
-)
-from .graphs import (
-    DegreeSummary,
-    EdgeListError,
-    Graph,
-    complete_graph,
-    cycle_graph,
-    degree_summary,
-    hm_graph,
-    parse_edge_list,
-    path_graph,
-    petersen_graph,
-    serialize_edge_list,
-    star_graph,
-)
-from .spectral import (
-    CentralityDiagonal,
-    CentralityOverflowError,
-    EigendecompositionError,
-    InsufficientTermsError,
-    SpectralDecomposition,
-    centrality_diagonal,
-    eigendecompose,
-    taylor_diagonal_oracle,
-    taylor_required_terms,
-)
-from .temperature import (
-    CoarseGridWarning,
-    CounterexampleReport,
-    CrossingReport,
-    CrossingScan,
-    DominanceReport,
-    IndistinguishableClassesError,
-    PairwiseCrossing,
-    class_difference,
-    dominance,
-    find_crossings,
-    verify_counterexample,
-)
-from .walks import (
-    ExactWalkTable,
-    WalkRegularityVerdict,
-    WalkRegularityWitness,
-    closed_walk_table,
-    is_walk_regular,
-    vertex_classes,
-)
+from .graphs import *
+from .walks import *
+from .spectral import *
+from .entropy import *
+from .temperature import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "DegreeSummary",
-    "EdgeListError",
-    "parse_edge_list",
-    "serialize_edge_list",
-    "degree_summary",
-    "hm_graph",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "star_graph",
-    "petersen_graph",
-    "ExactWalkTable",
-    "WalkRegularityWitness",
-    "WalkRegularityVerdict",
-    "closed_walk_table",
-    "vertex_classes",
-    "is_walk_regular",
-    "SpectralDecomposition",
-    "CentralityDiagonal",
-    "EigendecompositionError",
-    "CentralityOverflowError",
-    "InsufficientTermsError",
-    "eigendecompose",
-    "centrality_diagonal",
-    "taylor_required_terms",
-    "taylor_diagonal_oracle",
-    "EntropyReport",
-    "entropy_from_diagonal",
-    "walk_entropy",
-    "is_entropy_maximal",
-    "entropy_scan",
-    "scan_csv_lines",
-    "CrossingReport",
-    "PairwiseCrossing",
-    "CrossingScan",
-    "DominanceReport",
-    "CounterexampleReport",
-    "CoarseGridWarning",
-    "IndistinguishableClassesError",
-    "class_difference",
-    "find_crossings",
-    "dominance",
-    "verify_counterexample",
-    "__version__",
-]
+# each ``from .x import *`` above also binds the submodule ``x`` here
+__all__ = (
+    graphs.__all__
+    + walks.__all__
+    + spectral.__all__
+    + entropy.__all__
+    + temperature.__all__
+    + ["__version__"]
+)

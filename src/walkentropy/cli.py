@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .entropy import MAXIMALITY_TOL, entropy_scan, scan_csv_lines, walk_entropy
-from .graphs import EdgeListError, Graph, hm_graph, parse_edge_list, serialize_edge_list
+from .graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
     EigendecompositionError,
@@ -58,6 +59,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    """argparse type for numeric flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol``: a finite float > 0."""
+    if (value := _finite(text)) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _machine(x: float) -> str:
@@ -168,8 +187,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_scan(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
-    tol = args.tol if args.tol is not None else MAXIMALITY_TOL
-    reports = entropy_scan(d, args.beta_min, args.beta_max, args.step, tol)
+    reports = entropy_scan(d, args.beta_min, args.beta_max, args.step)
     reps = [c[0] for c in vertex_classes(g)]
     if args.format == "csv":
         print("\n".join(scan_csv_lines(reports, reps)))
@@ -277,13 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="output format (default: human)",
     )
-    io_parent.add_argument(
+    # no set_defaults(tol=...): commands share this action, so it would reach them all
+    tol_parent = _Parser(add_help=False)
+    tol_parent.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         metavar="F",
         help=f"maximality tolerance override (defaults: {MAXIMALITY_TOL:g}; "
         f"find-crossings {CROSSING_SPREAD_TOL:g})".replace("e-0", "e-"),  # 1e-08 -> 1e-8
+    )
+    grid_parent = _Parser(add_help=False)
+    grid_parent.add_argument(
+        "--beta-max", type=_finite, default=10.0, help="scan end (default 10)"
+    )
+    grid_parent.add_argument(
+        "--step", type=_finite, default=0.01, help="grid step (default 0.01)"
     )
 
     p = sub.add_parser("gen-hm", help="emit the hub-matching graph HM(M)")
@@ -296,33 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_walk_regular)
 
     p = sub.add_parser(
-        "entropy", parents=[io_parent], help="walk entropy at one temperature"
+        "entropy", parents=[io_parent, tol_parent], help="walk entropy at one temperature"
     )
-    p.add_argument("--beta", type=float, required=True, help="temperature (>= 0)")
+    p.add_argument("--beta", type=_finite, required=True, help="temperature (>= 0)")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("scan", parents=[io_parent], help="entropy over a beta grid")
-    p.add_argument("--beta-min", type=float, default=0.0, help="grid start (default 0)")
-    p.add_argument("--beta-max", type=float, default=10.0, help="grid end (default 10)")
-    p.add_argument("--step", type=float, default=0.01, help="grid step (default 0.01)")
+    p.add_argument("--beta-min", type=_finite, default=0.0, help="grid start (default 0)")
+    p.add_argument("--beta-max", type=_finite, default=10.0, help="grid end (default 10)")
+    p.add_argument("--step", type=_finite, default=0.01, help="grid step (default 0.01)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(
         "find-crossings",
-        parents=[io_parent],
+        parents=[io_parent, tol_parent, grid_parent],
         help="all maximal-entropy temperatures in (0, beta-max]",
     )
-    p.add_argument("--beta-max", type=float, default=10.0, help="scan end (default 10)")
-    p.add_argument("--step", type=float, default=0.01, help="grid step (default 0.01)")
     p.set_defaults(func=_cmd_find_crossings)
 
     p = sub.add_parser(
         "verify-counterexample",
-        parents=[io_parent],
+        parents=[io_parent, tol_parent, grid_parent],
         help="walk-regularity, crossings, and conjecture checks",
     )
-    p.add_argument("--beta-max", type=float, default=10.0, help="scan end (default 10)")
-    p.add_argument("--step", type=float, default=0.01, help="grid step (default 0.01)")
     p.set_defaults(func=_cmd_verify_counterexample)
 
     return parser
@@ -335,10 +358,7 @@ def main(argv=None) -> int:
     except _COMPUTATION_ERRORS as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, EdgeListError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # EdgeListError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

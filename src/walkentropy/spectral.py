@@ -88,12 +88,12 @@ class CentralityDiagonal:
     trace: float
 
 
-def eigendecompose(g: Graph, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def eigendecompose(g: Graph) -> SpectralDecomposition:
     """Full symmetric eigendecomposition of the adjacency matrix.
 
     Validates the residual and orthonormality invariants and raises
     :class:`EigendecompositionError` rather than returning silent garbage.
-    Clusters of eigenvalues closer than ``cluster_tol`` (absolute gap,
+    Clusters of eigenvalues closer than ``CLUSTER_TOL`` (absolute gap,
     scanned in descending order) are merged into one distinct eigenvalue,
     represented by the cluster mean.
     """
@@ -123,7 +123,7 @@ def eigendecompose(g: Graph, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomp
 
     starts = [0]
     for k in range(1, g.n):
-        if lam[k - 1] - lam[k] > cluster_tol:
+        if lam[k - 1] - lam[k] > CLUSTER_TOL:
             starts.append(k)
     bounds = starts + [g.n]
     distinct = np.array([lam[a0:b0].mean() for a0, b0 in zip(bounds, bounds[1:])])

@@ -473,7 +473,6 @@ def verify_counterexample(
     g: Graph,
     beta_max: float = 10.0,
     grid_step: float = 0.01,
-    spread_tol: float = CROSSING_SPREAD_TOL,
     beta_one_tol: float = MAXIMALITY_TOL,
 ) -> CounterexampleReport:
     """Full diagnostic: exact walk-regularity, crossings, and conjecture checks.
@@ -483,7 +482,7 @@ def verify_counterexample(
     whether entropy is maximal at beta = 1 and whether the number of located
     crossings stays within n - 1, the two open conjectures worth tracking.
     """
-    verdict, scan, d = _scan(g, beta_max, grid_step, spread_tol)
+    verdict, scan, d = _scan(g, beta_max, grid_step, CROSSING_SPREAD_TOL)
     if d is None:  # walk-regular: the scan needed no decomposition
         d = eigendecompose(g)
     count = len(scan.crossings)

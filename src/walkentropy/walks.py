@@ -39,9 +39,6 @@ class ExactWalkTable:
     def trace(self, length: int) -> int:
         return sum(row[length] for row in self.diag)
 
-    def profile(self, vertex: int) -> tuple[int, ...]:
-        return self.diag[vertex]
-
 
 class WalkRegularityWitness(NamedTuple):
     length: int

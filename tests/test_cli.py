@@ -1,10 +1,13 @@
-"""CLI surface: dispatch, formats, exit codes, determinism."""
+"""CLI surface: dispatch, formats, exit codes, determinism; package surface."""
 
+import inspect
 import io
 import json
 
 import pytest
 
+import walkentropy
+from walkentropy import cli, entropy, graphs, spectral, temperature, walks
 from walkentropy.cli import main
 from walkentropy.graphs import complete_graph, parse_edge_list, serialize_edge_list
 
@@ -239,3 +242,89 @@ def test_usage_error_exit_code_is_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("find-crossings", "--hm", "4", "--tol", "-1"), "--tol"),
+        (("entropy", "--hm", "4", "--beta", "1", "--tol", "-1"), "--tol"),
+        (("verify-counterexample", "--hm", "4", "--tol", "-1"), "--tol"),
+        (("entropy", "--hm", "4", "--beta", "nan"), "--beta"),
+        (("scan", "--hm", "4", "--beta-max", "inf"), "--beta-max"),
+        (("find-crossings", "--hm", "4", "--beta-max", "nan"), "--beta-max"),
+    ],
+    ids=[
+        "find-crossings-tol-negative",
+        "entropy-tol-negative",
+        "verify-counterexample-tol-negative",
+        "entropy-beta-nan",
+        "scan-beta-max-inf",
+        "find-crossings-beta-max-nan",
+    ],
+)
+def test_bad_number_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "check-walk-regular"])
+def test_tol_only_on_commands_it_acts_on(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--hm", "4", "--tol", "1"])
+    assert exc.value.code == 1
+
+
+class TestToleranceDefaults:
+    def test_entropy_default_decides_a_near_crossing(self, capsys):
+        argv = ("entropy", "--hm", "4", "--beta", "0.499001418")
+        _, out, _ = run(capsys, *argv)
+        assert "spread = 7.99222e-10" in out
+        assert "maximal = false" in out
+        _, out, _ = run(capsys, *argv, "--tol", "1e-8")
+        assert "maximal = true" in out
+
+    @pytest.mark.parametrize(
+        "argv, function, param, expected",
+        [
+            (("entropy", "--beta", "1"), "walk_entropy", "tol", entropy.MAXIMALITY_TOL),
+            (
+                ("find-crossings",),
+                "find_crossings",
+                "spread_tol",
+                temperature.CROSSING_SPREAD_TOL,
+            ),
+            (
+                ("verify-counterexample",),
+                "verify_counterexample",
+                "beta_one_tol",
+                entropy.MAXIMALITY_TOL,
+            ),
+        ],
+        ids=["entropy", "find-crossings", "verify-counterexample"],
+    )
+    def test_tolerance_handed_to_the_library(
+        self, capsys, monkeypatch, argv, function, param, expected
+    ):
+        real = getattr(cli, function)
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments[param])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, function, spy)
+        code, _, _ = run(capsys, *argv, "--hm", "4")
+        assert code == 0
+        assert seen == [expected]
+
+
+def test_package_reexports_each_module_all():
+    for module in (graphs, walks, spectral, entropy, temperature):
+        for name in module.__all__:
+            assert getattr(walkentropy, name) is getattr(module, name)
+            assert walkentropy.__all__.count(name) == 1
