@@ -47,6 +47,13 @@ class EntropyReport:
         return self.probabilities * self.trace
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def relative_spread(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     return float((values.max() - values.min()) / values.mean())
@@ -77,6 +84,7 @@ def walk_entropy(
     d: SpectralDecomposition, beta: float, tol: float = MAXIMALITY_TOL
 ) -> EntropyReport:
     """Walk entropy at temperature beta (natural-log units)."""
+    _check_finite(beta=beta)
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     return entropy_from_diagonal(centrality_diagonal(d, beta), tol)
@@ -99,6 +107,7 @@ def entropy_scan(
     tol: float = MAXIMALITY_TOL,
 ) -> list[EntropyReport]:
     """Entropy reports at beta_min, beta_min+step, ..., <= beta_max, in order."""
+    _check_finite(beta_min=beta_min, beta_max=beta_max, step=step)
     if beta_min < 0 or beta_max < beta_min:
         raise ValueError(f"need 0 <= beta_min <= beta_max, got [{beta_min}, {beta_max}]")
     if step <= 0:

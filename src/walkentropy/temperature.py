@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import MAXIMALITY_TOL, is_entropy_maximal, relative_spread
+from .entropy import MAXIMALITY_TOL, _check_finite, is_entropy_maximal, relative_spread
 from .graphs import Graph, degree_summary
 from .spectral import (
     SpectralDecomposition,
@@ -283,6 +283,7 @@ def _scan(
     (``None`` when the graph is walk-regular) and hands both back with the
     scan.  Warnings point at the caller of the public function.
     """
+    _check_finite(beta_max=beta_max, grid_step=grid_step)
     if beta_max <= 0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
     if grid_step <= 0:

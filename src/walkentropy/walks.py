@@ -1,17 +1,25 @@
 """Exact closed-walk counts and the walk-regularity decision.
 
-Everything here runs on Python's arbitrary-precision integers: the number
-of closed walks grows exponentially with the length, and the verdict is a
-discrete mathematical claim that floating-point error must not be able to
-flip.  Checking lengths 0..n-1 suffices to decide walk-regularity: the
-minimal polynomial of the adjacency matrix has degree at most n, so every
-higher power's diagonal is a fixed linear combination of the first n.
+The number of closed walks grows exponentially with the length, and the
+verdict is a discrete mathematical claim that floating-point error must
+not be able to flip, so every count is an exact Python integer.  The
+counts are computed modulo a few word-size moduli by float64 BLAS matrix
+products, in which every intermediate value is an integer below 2^53 and
+hence exact, and rebuilt by the Chinese remainder theorem: a count lies
+in [0, Delta^l], so its residue modulo a product of moduli exceeding
+Delta^L *is* the count.  Checking lengths 0..n-1 suffices to decide
+walk-regularity: the minimal polynomial of the adjacency matrix has
+degree at most n, so every higher power's diagonal is a fixed linear
+combination of the first n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -77,24 +85,75 @@ class WalkRegularityVerdict:
         }
 
 
-def closed_walk_table(g: Graph, L: int) -> ExactWalkTable:
-    """Exact diagonals of A^l for l = 0..L by iterated integer multiplication.
+def _moduli(max_degree: int, L: int) -> list[int]:
+    """Pairwise coprime moduli m < 2^52 / Delta whose product exceeds Delta^L.
 
-    The full matrix is carried between steps (every consecutive power is
-    needed anyway) and only the diagonals are kept.  Since A is 0/1, each
-    step is a neighbor-sum: ``new[i][j] = sum(old[i][k] for k in N(j))``.
+    Walks down from ``2**52 // Delta - 1`` keeping each candidate coprime
+    to the product kept so far; no primality test is needed.
+    """
+    delta = max(max_degree, 1)
+    bound = delta**L
+    moduli: list[int] = []
+    product = 1
+    m = 2**52 // delta - 1
+    while product <= bound:
+        if math.gcd(m, product) == 1:
+            moduli.append(m)
+            product *= m
+        m -= 1
+    return moduli
+
+
+def closed_walk_table(g: Graph, L: int) -> ExactWalkTable:
+    """Exact diagonals of A^l for l = 0..L by multi-modular float64 BLAS.
+
+    The residues of A^l modulo each of k moduli are stacked as one
+    ``(k*n, n)`` float64 array P, so each step is one BLAS product
+    ``P @ A`` followed by the reduction ``x - rint(x * (1/m)) * m``, which
+    leaves every residue r in about [-m/2, m/2].
+
+    The arithmetic is exact.  With Delta the maximum degree, every modulus
+    has m * Delta < 2^52.  A is 0/1 with at most Delta ones per column, so
+    every entry of ``P @ A``, and every partial sum BLAS forms on the way
+    to it in whatever order, is an integer of magnitude at most
+    Delta * max|r| < 2^53, hence exact.  ``q = rint(x * (1/m))`` is within
+    1/2 + Delta * 2^-52 of x/m (a rounding error only picks the other of
+    two valid representatives), so ``q * m`` and ``x - q * m`` are integers
+    below 2^53, exact too, and |r| <= m/2 + 1 again.
+
+    The counts are rebuilt once at the end by the Chinese remainder
+    theorem as Python ``int``s: a count lies in [0, Delta^l] and the
+    moduli's product exceeds Delta^L, so the residue is the count.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    nbrs = g.neighbors()
     n = g.n
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    diag = [[1] for _ in range(n)]
-    for _ in range(L):
-        power = [[sum(row[k] for k in nbrs[j]) for j in range(n)] for row in power]
-        for i in range(n):
-            diag[i].append(power[i][i])
-    return ExactWalkTable(L, tuple(tuple(row) for row in diag))
+    moduli = _moduli(max(g.degrees()), L)
+    k = len(moduli)
+    m = np.array(moduli, dtype=float).reshape(k, 1, 1)
+    inv_m = 1.0 / m
+    a = g.adjacency_matrix()
+    idx = np.arange(n)
+    power = np.zeros((k, n, n))
+    power[:, idx, idx] = 1.0
+    product = np.empty_like(power)
+    quot = np.empty_like(power)
+    residues = np.empty((n, L + 1, k))
+    residues[:, 0, :] = 1.0
+    for length in range(1, L + 1):
+        np.matmul(power.reshape(k * n, n), a, out=product.reshape(k * n, n))
+        np.multiply(product, inv_m, out=quot)
+        np.rint(quot, out=quot)
+        np.multiply(quot, m, out=quot)
+        np.subtract(product, quot, out=product)
+        power, product = product, power
+        residues[:, length, :] = power[:, idx, idx].T
+
+    modulus = math.prod(moduli)
+    rests = [modulus // mj for mj in moduli]
+    coef = np.array([r * pow(r, -1, mj) for r, mj in zip(rests, moduli)], dtype=object)
+    counts = (residues.astype(np.int64).astype(object) @ coef) % modulus
+    return ExactWalkTable(L, tuple(map(tuple, counts.tolist())))
 
 
 def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:

@@ -44,3 +44,21 @@ def brute_force_closed_walks(g: Graph, start: int, length: int) -> int:
         return sum(rec(w, remaining - 1) for w in nbrs[v])
 
     return rec(start, length)
+
+
+def bigint_closed_walk_table(g: Graph, L: int) -> tuple[tuple[int, ...], ...]:
+    """Diagonals of A^l for l = 0..L by iterated big-integer neighbor sums.
+
+    The reference for ``closed_walk_table``: the full power is carried
+    between steps and, since A is 0/1, each step is
+    ``new[i][j] = sum(old[i][k] for k in N(j))`` in Python integers.
+    """
+    nbrs = g.neighbors()
+    n = g.n
+    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    diag = [[1] for _ in range(n)]
+    for _ in range(L):
+        power = [[sum(row[k] for k in nbrs[j]) for j in range(n)] for row in power]
+        for i in range(n):
+            diag[i].append(power[i][i])
+    return tuple(tuple(row) for row in diag)

@@ -83,6 +83,10 @@ class TestWalkEntropy:
         with pytest.raises(ValueError):
             walk_entropy(eigendecompose(complete_graph(3)), -0.5)
 
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta must be finite, got nan"):
+            walk_entropy(eigendecompose(hm_graph(4)), math.nan)
+
 
 class TestIsEntropyMaximal:
     def test_h4_at_crossing(self):
@@ -150,6 +154,11 @@ class TestEntropyScan:
             entropy_scan(d, 2.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             entropy_scan(d, 0.0, 1.0, 0.0)
+
+    def test_infinite_beta_max_rejected(self):
+        d = eigendecompose(complete_graph(3))
+        with pytest.raises(ValueError, match="beta_max must be finite, got inf"):
+            entropy_scan(d, 0.0, math.inf, 0.01)
 
     def test_overflow_names_the_offending_beta(self):
         d = eigendecompose(hm_graph(4))

@@ -133,6 +133,17 @@ class TestFindCrossings:
         with pytest.raises(ValueError):
             find_crossings(g, grid_step=-0.1)
 
+    @pytest.mark.parametrize("run", [find_crossings, verify_counterexample])
+    @pytest.mark.parametrize("arg", ["beta_max", "grid_step"])
+    def test_nan_parameters_rejected(self, run, arg):
+        with pytest.raises(ValueError, match=f"{arg} must be finite, got nan"):
+            run(hm_graph(4), **{arg: math.nan})
+
+    def test_infinite_step_rejected(self):
+        # used to report "no crossings" on a graph that has two
+        with pytest.raises(ValueError, match="grid_step must be finite, got inf"):
+            find_crossings(hm_graph(4), grid_step=math.inf)
+
     def test_refinement_catches_close_root_pair(self):
         # synthetic pair difference 2*cosh(beta - r) - 2 - eps: two roots
         # ~2e-3 apart strictly inside one 0.01 cell, invisible to the main

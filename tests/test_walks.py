@@ -1,20 +1,29 @@
 """Exact walk tables, vertex classes, and the walk-regularity decision."""
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_closed_walks, random_connected_graph
+from conftest import (
+    bigint_closed_walk_table,
+    brute_force_closed_walks,
+    random_connected_graph,
+)
 from walkentropy.graphs import (
     Graph,
     complete_graph,
+    cycle_graph,
     degree_summary,
     hm_graph,
     path_graph,
     petersen_graph,
     star_graph,
 )
-from walkentropy.walks import closed_walk_table, is_walk_regular, vertex_classes
+from walkentropy.walks import _moduli, closed_walk_table, is_walk_regular, vertex_classes
 
 
 class TestClosedWalkTable:
@@ -72,6 +81,60 @@ class TestClosedWalkTable:
         assert table.diag[0][40] > 2**63
         # closed walks on K_n: ((n-1)^l + (n-1)*(-1)^l) / n
         assert table.diag[0][40] == (7**40 + 7) // 8
+
+
+@st.composite
+def graphs(draw):
+    """Any graph on 1..30 vertices, at a density drawn from [0, 1]."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, frozenset(e for e in pairs if rng.random() < p))
+
+
+class TestAgainstBigintOracle:
+    """The multi-modular table against the big-integer neighbor-sum loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_random_graphs(self, g):
+        for L in sorted({1, max(1, g.n - 1), 2 * g.n + 5}):
+            assert closed_walk_table(g, L).diag == bigint_closed_walk_table(g, L)
+
+    @pytest.mark.parametrize(
+        "g, L",
+        [
+            (Graph(5, frozenset()), 4),
+            (Graph(1, frozenset()), 3),
+            (complete_graph(40), 120),
+            (star_graph(60), 150),
+            (cycle_graph(50), 300),
+        ]
+        + [(hm_graph(m), m * m + 2 * m - 1) for m in range(3, 11)],
+        ids=["edgeless", "n=1", "K40", "star60", "C50"]
+        + [f"HM({m})" for m in range(3, 11)],
+    )
+    def test_edge_cases(self, g, L):
+        diag = closed_walk_table(g, L).diag
+        assert diag == bigint_closed_walk_table(g, L)
+        assert all(type(c) is int for row in diag for c in row)
+
+    def test_counts_beyond_int64_are_python_ints(self):
+        row = closed_walk_table(complete_graph(40), 120).diag[0]
+        assert all(type(c) is int for c in row)  # not numpy integers
+        assert sum(c > 2**63 for c in row) > 100
+
+    @pytest.mark.parametrize(
+        "max_degree, L",
+        [(0, 1), (1, 300), (2, 300), (10, 98), (39, 120), (60, 150), (1000, 50)],
+    )
+    def test_moduli_invariants(self, max_degree, L):
+        moduli = _moduli(max_degree, L)
+        delta = max(max_degree, 1)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+        assert math.prod(moduli) > delta**L
+        assert all(m * delta < 2**52 for m in moduli)
 
 
 class TestVerdicts:
