@@ -30,7 +30,6 @@ from .graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
     EigendecompositionError,
-    InsufficientTermsError,
     eigendecompose,
 )
 from .temperature import (
@@ -44,7 +43,6 @@ from .walks import is_walk_regular, vertex_classes
 _COMPUTATION_ERRORS = (
     CentralityOverflowError,
     EigendecompositionError,
-    InsufficientTermsError,
     IndistinguishableClassesError,
 )
 

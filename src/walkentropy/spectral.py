@@ -10,10 +10,6 @@ eigenvector (so the weights are non-negative by construction and each row
 sums to 1).  Eigenvalues are also clustered into numerically distinct
 values, giving the grouped weights a[i, j] = sum of w[i, k] over cluster j;
 the grouped form drives the beta -> infinity dominance analysis.
-
-:func:`taylor_diagonal_oracle` evaluates the same diagonal from the exact
-integer walk tables via partial Taylor sums.  It shares no code with the
-spectral path and exists as an independent cross-check for the test suite.
 """
 
 from __future__ import annotations
@@ -25,19 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .walks import closed_walk_table
 
 __all__ = [
     "SpectralDecomposition",
     "CentralityDiagonal",
     "EigendecompositionError",
     "CentralityOverflowError",
-    "InsufficientTermsError",
     "eigendecompose",
     "exp_eigenvalues",
     "centrality_diagonal",
-    "taylor_required_terms",
-    "taylor_diagonal_oracle",
 ]
 
 #: Residual bound for accepted eigenpairs: ||A u - lambda u|| <= tol * max(1, ||A||_2).
@@ -45,9 +37,6 @@ RESIDUAL_TOL = 1e-10
 
 #: Absolute gap below which adjacent eigenvalues join the same cluster.
 CLUSTER_TOL = 1e-8
-
-#: Relative tail bound the Taylor truncation must satisfy.
-TAYLOR_TAIL_REL = 1e-12
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -58,10 +47,6 @@ class EigendecompositionError(RuntimeError):
 
 class CentralityOverflowError(OverflowError):
     """exp(beta * lambda) exceeds the double-precision range."""
-
-
-class InsufficientTermsError(ValueError):
-    """Requested Taylor truncation cannot meet the remainder bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +71,21 @@ class CentralityDiagonal:
     beta: float
     values: np.ndarray  # (n,); values[i] = [exp(beta*A)]_{ii}
     trace: float
+
+
+def _cluster_starts(lam: np.ndarray) -> list[int]:
+    """Start index of each cluster of the descending eigenvalues ``lam``.
+
+    A cluster ends wherever the gap to the next eigenvalue exceeds
+    ``CLUSTER_TOL``.
+    """
+    return [0] + [k for k in range(1, lam.size) if lam[k - 1] - lam[k] > CLUSTER_TOL]
+
+
+def _cluster_means(lam: np.ndarray, starts: list[int]) -> np.ndarray:
+    """The mean of each cluster: the distinct eigenvalues, descending."""
+    bounds = starts + [lam.size]
+    return np.array([lam[a:b].mean() for a, b in zip(bounds, bounds[1:])])
 
 
 def eigendecompose(g: Graph) -> SpectralDecomposition:
@@ -121,12 +121,8 @@ def eigendecompose(g: Graph) -> SpectralDecomposition:
             f"eigenvector basis is not orthonormal (weight sum error {max(row_err, col_err):.3e})"
         )
 
-    starts = [0]
-    for k in range(1, g.n):
-        if lam[k - 1] - lam[k] > CLUSTER_TOL:
-            starts.append(k)
-    bounds = starts + [g.n]
-    distinct = np.array([lam[a0:b0].mean() for a0, b0 in zip(bounds, bounds[1:])])
+    starts = _cluster_starts(lam)
+    distinct = _cluster_means(lam, starts)
     grouped = np.add.reduceat(weights, starts, axis=1)
 
     for arr in (lam, weights, distinct, grouped):
@@ -148,50 +144,3 @@ def centrality_diagonal(d: SpectralDecomposition, beta: float) -> CentralityDiag
     """Diagonal of exp(beta*A) and its trace, via the eigendecomposition."""
     e = exp_eigenvalues(d, beta)
     return CentralityDiagonal(float(beta), d.weights @ e, float(e.sum()))
-
-
-def taylor_required_terms(beta: float, max_degree: int) -> int:
-    """Smallest T with (beta*d)^T / T! < TAYLOR_TAIL_REL * exp(beta*d).
-
-    ``d = max_degree`` bounds the 1-norm of the adjacency matrix, so the
-    dropped Taylor tail is below ``TAYLOR_TAIL_REL * exp(beta*d)``
-    componentwise once T satisfies this.  Evaluated in logs to avoid
-    overflow of either side.
-    """
-    x = abs(beta) * max_degree
-    if x == 0.0:
-        return 1
-    threshold = math.log(TAYLOR_TAIL_REL) + x
-    t = 1
-    while t * math.log(x) - math.lgamma(t + 1) >= threshold:
-        t += 1
-    return t
-
-
-def taylor_diagonal_oracle(
-    g: Graph, beta: float, terms: int | None = None
-) -> CentralityDiagonal:
-    """Diagonal of exp(beta*A) from exact walk counts: sum of beta^l/l! * [A^l]_{ii}.
-
-    Independent of the eigendecomposition path.  ``terms`` defaults to the
-    minimal truncation satisfying the remainder bound; an explicit smaller
-    value raises :class:`InsufficientTermsError`.
-    """
-    max_degree = max(g.degrees())
-    needed = taylor_required_terms(beta, max_degree)
-    if terms is None:
-        terms = needed
-    elif terms < needed:
-        x = abs(beta) * max_degree
-        raise InsufficientTermsError(
-            f"{terms} terms leave tail (beta*||A||_1)^T/T! >= "
-            f"{TAYLOR_TAIL_REL:.0e} * exp({x:.6g}); need at least {needed}"
-        )
-    table = closed_walk_table(g, max(1, terms - 1))
-    values = np.zeros(g.n)
-    coef = 1.0
-    for length in range(terms):
-        if length:
-            coef *= beta / length
-        values += coef * np.array([row[length] for row in table.diag], dtype=float)
-    return CentralityDiagonal(float(beta), values, float(values.sum()))

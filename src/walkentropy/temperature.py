@@ -35,7 +35,13 @@ from .spectral import (
     eigendecompose,
     exp_eigenvalues,
 )
-from .walks import ExactWalkTable, WalkRegularityVerdict, _verdict, closed_walk_table
+from .walks import (
+    ExactWalkTable,
+    WalkRegularityVerdict,
+    _certified_length,
+    _verdict,
+    closed_walk_table,
+)
 
 __all__ = [
     "CROSSING_SPREAD_TOL",
@@ -289,7 +295,7 @@ def _scan(
     if grid_step <= 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
 
-    table = closed_walk_table(g, max(1, g.n - 1))
+    table = closed_walk_table(g, _certified_length(g))
     verdict = _verdict(table)
     classes = verdict.classes
     if verdict.is_walk_regular:

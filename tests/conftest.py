@@ -1,13 +1,20 @@
 """Shared fixtures: the seeded random-graph corpus and brute-force oracles."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from walkentropy.graphs import Graph
+from walkentropy.spectral import CentralityDiagonal
+from walkentropy.walks import closed_walk_table
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 200
+
+#: Relative tail bound the Taylor truncation must satisfy.
+TAYLOR_TAIL_REL = 1e-12
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -62,3 +69,55 @@ def bigint_closed_walk_table(g: Graph, L: int) -> tuple[tuple[int, ...], ...]:
         for i in range(n):
             diag[i].append(power[i][i])
     return tuple(tuple(row) for row in diag)
+
+
+class InsufficientTermsError(ValueError):
+    """Requested Taylor truncation cannot meet the remainder bound."""
+
+
+def taylor_required_terms(beta: float, max_degree: int) -> int:
+    """Smallest T with (beta*d)^T / T! < TAYLOR_TAIL_REL * exp(beta*d).
+
+    ``d = max_degree`` bounds the 1-norm of the adjacency matrix, so the
+    dropped Taylor tail is below ``TAYLOR_TAIL_REL * exp(beta*d)``
+    componentwise once T satisfies this.  Evaluated in logs to avoid
+    overflow of either side.
+    """
+    x = abs(beta) * max_degree
+    if x == 0.0:
+        return 1
+    threshold = math.log(TAYLOR_TAIL_REL) + x
+    t = 1
+    while t * math.log(x) - math.lgamma(t + 1) >= threshold:
+        t += 1
+    return t
+
+
+def taylor_diagonal_oracle(
+    g: Graph, beta: float, terms: int | None = None
+) -> CentralityDiagonal:
+    """Diagonal of exp(beta*A) from exact walk counts: sum of beta^l/l! * [A^l]_{ii}.
+
+    The reference for the spectral route: it shares no code with the
+    eigendecomposition.  ``terms`` defaults to the minimal truncation
+    satisfying the remainder bound; an explicit smaller value raises
+    :class:`InsufficientTermsError`.
+    """
+    max_degree = max(g.degrees())
+    needed = taylor_required_terms(beta, max_degree)
+    if terms is None:
+        terms = needed
+    elif terms < needed:
+        x = abs(beta) * max_degree
+        raise InsufficientTermsError(
+            f"{terms} terms leave tail (beta*||A||_1)^T/T! >= "
+            f"{TAYLOR_TAIL_REL:.0e} * exp({x:.6g}); need at least {needed}"
+        )
+    table = closed_walk_table(g, max(1, terms - 1))
+    values = np.zeros(g.n)
+    coef = 1.0
+    for length in range(terms):
+        if length:
+            coef *= beta / length
+        values += coef * np.array([row[length] for row in table.diag], dtype=float)
+    return CentralityDiagonal(float(beta), values, float(values.sum()))

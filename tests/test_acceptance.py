@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import taylor_diagonal_oracle, taylor_required_terms
 from walkentropy.entropy import is_entropy_maximal, walk_entropy
 from walkentropy.graphs import (
     complete_graph,
@@ -19,12 +20,7 @@ from walkentropy.graphs import (
     petersen_graph,
     star_graph,
 )
-from walkentropy.spectral import (
-    centrality_diagonal,
-    eigendecompose,
-    taylor_diagonal_oracle,
-    taylor_required_terms,
-)
+from walkentropy.spectral import centrality_diagonal, eigendecompose
 from walkentropy.temperature import find_crossings
 from walkentropy.walks import closed_walk_table, is_walk_regular
 

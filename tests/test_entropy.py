@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import taylor_diagonal_oracle
 from walkentropy.entropy import (
     entropy_from_diagonal,
     entropy_scan,
@@ -18,7 +19,6 @@ from walkentropy.spectral import (
     CentralityOverflowError,
     centrality_diagonal,
     eigendecompose,
-    taylor_diagonal_oracle,
 )
 from walkentropy.walks import is_walk_regular, vertex_classes
 

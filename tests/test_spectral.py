@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    InsufficientTermsError,
+    taylor_diagonal_oracle,
+    taylor_required_terms,
+)
 from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph
 from walkentropy.spectral import (
     CentralityOverflowError,
-    InsufficientTermsError,
     centrality_diagonal,
     eigendecompose,
-    taylor_diagonal_oracle,
-    taylor_required_terms,
 )
 from walkentropy.walks import closed_walk_table
 

@@ -221,6 +221,19 @@ class TestWorkCounts:
         find_crossings(complete_graph(4))
         assert counts == {"closed_walk_table": 1}
 
+    def test_hm4_table_stops_at_certified_length(self, counts, monkeypatch):
+        lengths = []
+        counted = walkentropy.temperature.closed_walk_table
+
+        def recorded(g, L):
+            lengths.append(L)
+            return counted(g, L)
+
+        monkeypatch.setattr(walkentropy.temperature, "closed_walk_table", recorded)
+        verify_counterexample(hm_graph(4))
+        assert counts == {"closed_walk_table": 1, "eigendecompose": 1}
+        assert lengths == [5]
+
 
 class TestDominance:
     def test_h4_hub_class_leads(self):

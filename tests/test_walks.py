@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from conftest import (
     brute_force_closed_walks,
     random_connected_graph,
 )
+import walkentropy.walks as walks
 from walkentropy.graphs import (
     Graph,
     complete_graph,
@@ -23,7 +25,15 @@ from walkentropy.graphs import (
     petersen_graph,
     star_graph,
 )
-from walkentropy.walks import _moduli, closed_walk_table, is_walk_regular, vertex_classes
+from walkentropy.walks import (
+    ExactWalkTable,
+    _certified_length,
+    _moduli,
+    _verdict,
+    closed_walk_table,
+    is_walk_regular,
+    vertex_classes,
+)
 
 
 class TestClosedWalkTable:
@@ -130,11 +140,88 @@ class TestAgainstBigintOracle:
         [(0, 1), (1, 300), (2, 300), (10, 98), (39, 120), (60, 150), (1000, 50)],
     )
     def test_moduli_invariants(self, max_degree, L):
-        moduli = _moduli(max_degree, L)
         delta = max(max_degree, 1)
+        moduli = _moduli(max_degree, delta**L)
         assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
         assert math.prod(moduli) > delta**L
         assert all(m * delta < 2**52 for m in moduli)
+
+
+def full_length_verdict(g):
+    """The verdict from the table to length n - 1, which d <= n always justifies."""
+    return _verdict(closed_walk_table(g, max(1, g.n - 1)))
+
+
+class TestCertifiedLength:
+    """The table stops at deg q - 1 only once q(A) = 0 is checked exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_verdict_matches_bigint_full_length(self, g):
+        full = max(1, g.n - 1)
+        oracle = _verdict(ExactWalkTable(full, bigint_closed_walk_table(g, full)))
+        assert is_walk_regular(g) == oracle
+        assert 1 <= _certified_length(g) <= full
+
+    @pytest.mark.parametrize(
+        "g, L",
+        [(hm_graph(m), 5) for m in range(3, 13)]
+        + [
+            (petersen_graph(), 2),
+            (complete_graph(6), 1),
+            (Graph(5, frozenset()), 1),
+            (Graph(1, frozenset()), 1),
+            (cycle_graph(7), 6),
+            (star_graph(3), 3),
+        ],
+        ids=[f"HM({m})" for m in range(3, 13)]
+        + ["Petersen", "K6", "edgeless", "n=1", "C7", "star3"],
+    )
+    def test_pinned_lengths(self, g, L):
+        assert _certified_length(g) == L
+        assert is_walk_regular(g) == full_length_verdict(g)
+
+
+FALLBACK_GRAPHS = [hm_graph(4), hm_graph(6), petersen_graph(), complete_graph(6)]
+FALLBACK_IDS = ["HM(4)", "HM(6)", "Petersen", "K6"]
+
+
+class TestCertificateFallback:
+    """A wrong float proposal costs the n - 1 table, never the verdict."""
+
+    @pytest.mark.parametrize("g", FALLBACK_GRAPHS, ids=FALLBACK_IDS)
+    def test_dropped_eigenvalue(self, monkeypatch, g):
+        real = walks._cluster_means
+        monkeypatch.setattr(walks, "_cluster_means", lambda lam, starts: real(lam, starts)[:-1])
+        assert _certified_length(g) == g.n - 1
+        assert is_walk_regular(g) == full_length_verdict(g)
+
+    @pytest.mark.parametrize("g", FALLBACK_GRAPHS, ids=FALLBACK_IDS)
+    def test_shifted_coefficient(self, monkeypatch, g):
+        real = np.poly
+        kappa = len(walks._cluster_starts(np.linalg.eigvalsh(g.adjacency_matrix())[::-1]))
+        for j in range(1, kappa + 1):
+            shift = np.zeros(kappa + 1)
+            shift[j] = 1.0
+            monkeypatch.setattr(np, "poly", lambda v, _s=shift: real(v) + _s)
+            assert _certified_length(g) == g.n - 1
+            assert is_walk_regular(g) == full_length_verdict(g)
+
+    def test_huge_coefficient_skips_the_check(self, monkeypatch):
+        g = hm_graph(4)
+        real = np.poly
+
+        def huge(v):
+            q = real(v)
+            q[-1] = 2.0**52
+            return q
+
+        def no_check(*args):
+            pytest.fail("q(A) was checked despite a coefficient >= 2^52")
+
+        monkeypatch.setattr(np, "poly", huge)
+        monkeypatch.setattr(walks, "_horner_residues", no_check)
+        assert _certified_length(g) == g.n - 1
 
 
 class TestVerdicts:
