@@ -25,7 +25,13 @@ import math
 import sys
 from pathlib import Path
 
-from .entropy import MAXIMALITY_TOL, entropy_scan, scan_csv_lines, walk_entropy
+from .entropy import (
+    MAXIMALITY_TOL,
+    _scan_cells,
+    entropy_scan,
+    scan_csv_lines,
+    walk_entropy,
+)
 from .graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
@@ -85,9 +91,14 @@ def _human(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _round12(x: float) -> float:
+    """The machine-format rounding: 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _round12(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -182,6 +193,23 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _write_scan_json(reports, reps: list[int]) -> None:
+    """Scan rows as ``json.dumps(_round_floats(rows), indent=2)`` prints them.
+
+    Each row is one %-template over its rounded values; ``%r`` is the
+    ``float.__repr__`` that ``json.dumps`` emits for finite floats.
+    """
+    keys = ("beta", "entropy", "max_entropy", "deficit", "spread")
+    values = ",\n".join(f'      "{r}": %r' for r in reps)
+    fields = [f'    "{k}": %r' for k in keys] + [f'    "class_values": {{\n{values}\n    }}']
+    row = "  {\n" + ",\n".join(fields) + "\n  }"
+    rows = []
+    for cells in _scan_cells(reports, reps):
+        assert all(map(math.isfinite, cells)), "scan values are finite"
+        rows.append(row % tuple(map(_round12, cells)))
+    sys.stdout.write("[\n" + ",\n".join(rows) + "\n]\n")
+
+
 def _cmd_scan(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
@@ -190,22 +218,7 @@ def _cmd_scan(args) -> int:
     if args.format == "csv":
         print("\n".join(scan_csv_lines(reports, reps)))
     elif args.format == "json":
-        _print_json(
-            [
-                {
-                    "beta": r.beta,
-                    "entropy": r.entropy,
-                    "max_entropy": r.max_entropy,
-                    "deficit": r.deficit,
-                    "spread": r.spread,
-                    "class_values": {
-                        str(rep): float(v)
-                        for rep, v in zip(reps, r.centrality_values()[reps])
-                    },
-                }
-                for r in reports
-            ]
-        )
+        _write_scan_json(reports, reps)
     else:
         print(f"{'beta':>12} {'entropy':>12} {'deficit':>12} {'spread':>12}")
         for r in reports:

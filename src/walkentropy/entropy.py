@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CentralityDiagonal, SpectralDecomposition, centrality_diagonal
+from .spectral import (
+    CentralityDiagonal,
+    SpectralDecomposition,
+    _centrality_rows,
+    centrality_diagonal,
+)
 
 __all__ = [
     "MAXIMALITY_TOL",
@@ -54,30 +59,49 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _row_spreads(values: np.ndarray) -> np.ndarray:
+    """(max f - min f) / mean f of each row of ``values``."""
+    mean = values.sum(axis=1) / values.shape[1]  # what values.mean(axis=1) computes
+    return (values.max(axis=1) - values.min(axis=1)) / mean
+
+
 def relative_spread(values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float)
-    return float((values.max() - values.min()) / values.mean())
+    return float(_row_spreads(np.asarray(values, dtype=float)[None, :])[0])
+
+
+def _reports(
+    betas: np.ndarray, values: np.ndarray, traces: np.ndarray, tol: float
+) -> list[EntropyReport]:
+    """One report per row of ``values``, the diagonal of exp(beta*A) at ``betas``."""
+    spreads = _row_spreads(values)
+    p = values / traces[:, None]
+    # 0*log 0 := 0; cannot occur for beta >= 0 where f >= 1
+    logs = np.log(np.where(p > 0.0, p, 1.0))
+    entropies = -np.multiply(p, logs, out=logs).sum(axis=1)
+    max_entropy = math.log(p.shape[1])
+    return [
+        EntropyReport(
+            beta=beta,
+            entropy=entropy,
+            max_entropy=max_entropy,
+            deficit=max_entropy - entropy,
+            probabilities=row,
+            trace=trace,
+            spread=spread,
+            is_maximal=spread <= tol,
+        )
+        for beta, entropy, row, trace, spread in zip(
+            betas.tolist(), entropies.tolist(), p, traces.tolist(), spreads.tolist()
+        )
+    ]
 
 
 def entropy_from_diagonal(
     cd: CentralityDiagonal, tol: float = MAXIMALITY_TOL
 ) -> EntropyReport:
     """Entropy report from an already-evaluated diagonal of exp(beta*A)."""
-    p = cd.values / cd.trace
-    positive = p > 0.0  # 0*log 0 := 0; cannot occur for beta >= 0 where f >= 1
-    entropy = float(-(p[positive] * np.log(p[positive])).sum())
-    max_entropy = math.log(p.shape[0])
-    spread = relative_spread(cd.values)
-    return EntropyReport(
-        beta=cd.beta,
-        entropy=entropy,
-        max_entropy=max_entropy,
-        deficit=max_entropy - entropy,
-        probabilities=p,
-        trace=cd.trace,
-        spread=spread,
-        is_maximal=spread <= tol,
-    )
+    values = np.asarray(cd.values, dtype=float)[None, :]
+    return _reports(np.array([cd.beta]), values, np.array([cd.trace]), tol)[0]
 
 
 def walk_entropy(
@@ -96,24 +120,35 @@ def is_entropy_maximal(
     """True iff all diagonal entries of exp(beta*A) agree within relative ``tol``."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    return entropy_from_diagonal(centrality_diagonal(d, beta), tol).is_maximal
+    return relative_spread(centrality_diagonal(d, beta).values) <= tol
 
 
 def entropy_scan(
-    d: SpectralDecomposition,
-    beta_min: float,
-    beta_max: float,
-    step: float,
-    tol: float = MAXIMALITY_TOL,
+    d: SpectralDecomposition, beta_min: float, beta_max: float, step: float
 ) -> list[EntropyReport]:
-    """Entropy reports at beta_min, beta_min+step, ..., <= beta_max, in order."""
+    """Entropy reports at beta_min, beta_min+step, ..., <= beta_max, in order.
+
+    The whole grid is evaluated in one array pass; each report is bitwise
+    the :func:`walk_entropy` report at its beta, decided at ``MAXIMALITY_TOL``.
+    """
     _check_finite(beta_min=beta_min, beta_max=beta_max, step=step)
     if beta_min < 0 or beta_max < beta_min:
         raise ValueError(f"need 0 <= beta_min <= beta_max, got [{beta_min}, {beta_max}]")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     count = int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
-    return [walk_entropy(d, beta_min + t * step, tol) for t in range(count)]
+    betas = beta_min + np.arange(count) * step
+    return _reports(betas, *_centrality_rows(d, betas), MAXIMALITY_TOL)
+
+
+def _scan_cells(reports: list[EntropyReport], class_reps: list[int]):
+    """Per report: beta, entropy, max_entropy, deficit, spread, then f at
+    each vertex-class representative, as Python floats."""
+    reps = np.asarray(class_reps, dtype=np.intp)
+    for r in reports:
+        yield [r.beta, r.entropy, r.max_entropy, r.deficit, r.spread] + (
+            r.probabilities[reps] * r.trace
+        ).tolist()
 
 
 def scan_csv_lines(reports: list[EntropyReport], class_reps: list[int]) -> list[str]:
@@ -125,10 +160,5 @@ def scan_csv_lines(reports: list[EntropyReport], class_reps: list[int]) -> list[
     header = "beta,entropy,max_entropy,deficit,spread" + "".join(
         f",f_v{r}" for r in class_reps
     )
-    lines = [header]
-    for rep in reports:
-        f = rep.centrality_values()
-        cells = [rep.beta, rep.entropy, rep.max_entropy, rep.deficit, rep.spread]
-        cells.extend(float(f[r]) for r in class_reps)
-        lines.append(",".join(f"{c:.12g}" for c in cells))
-    return lines
+    row = ",".join(["%.12g"] * (5 + len(class_reps)))
+    return [header] + [row % tuple(cells) for cells in _scan_cells(reports, class_reps)]

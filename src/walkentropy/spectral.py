@@ -130,17 +130,51 @@ def eigendecompose(g: Graph) -> SpectralDecomposition:
     return SpectralDecomposition(lam, weights, distinct, grouped)
 
 
+def _peak_overflow(peak: float, beta: float) -> CentralityOverflowError:
+    return CentralityOverflowError(
+        f"exp({peak:.6g}) overflows double precision at beta={beta:.6g}"
+    )
+
+
 def exp_eigenvalues(d: SpectralDecomposition, beta: float) -> np.ndarray:
     """exp(beta * lambda_k) for all k, with an explicit overflow guard."""
     peak = float(np.max(beta * d.eigenvalues))
     if peak > _LOG_FLOAT_MAX:
-        raise CentralityOverflowError(
-            f"exp({peak:.6g}) overflows double precision at beta={beta:.6g}"
-        )
+        raise _peak_overflow(peak, beta)
     return np.exp(beta * d.eigenvalues)
+
+
+def _centrality_rows(
+    d: SpectralDecomposition, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of exp(beta*A) (one row per beta of ``betas``) and their traces.
+
+    One exp of the outer product beta x lambda and one gemv per row,
+    ``weights @ exp(beta * lambda)``, the same product as for a single
+    beta, so every row is bitwise what a one-row call gives.  Raises
+    :class:`CentralityOverflowError` naming the first beta at which
+    exp(beta * lambda_k), a diagonal entry or the trace is not finite.
+    """
+    x = betas[:, None] * d.eigenvalues
+    peaks = x.max(axis=1)
+    over = peaks > _LOG_FLOAT_MAX
+    stop = int(over.argmax()) if over.any() else betas.size
+    e = np.exp(x[:stop], out=x[:stop])  # every exponent <= log(DBL_MAX): finite
+    with np.errstate(over="ignore"):  # reported below, by beta
+        traces = e.sum(axis=1)
+        values = np.matmul(d.weights, e[..., None])[..., 0]
+    if not (np.isfinite(traces).all() and np.isfinite(values).all()):
+        finite = np.isfinite(traces) & np.isfinite(values).all(axis=1)
+        beta = betas[int(finite.argmin())]
+        raise CentralityOverflowError(
+            f"trace of exp(beta*A) overflows double precision at beta={beta:.6g}"
+        )
+    if stop < betas.size:
+        raise _peak_overflow(peaks[stop], betas[stop])
+    return values, traces
 
 
 def centrality_diagonal(d: SpectralDecomposition, beta: float) -> CentralityDiagonal:
     """Diagonal of exp(beta*A) and its trace, via the eigendecomposition."""
-    e = exp_eigenvalues(d, beta)
-    return CentralityDiagonal(float(beta), d.weights @ e, float(e.sum()))
+    values, traces = _centrality_rows(d, np.array([beta], dtype=float))
+    return CentralityDiagonal(float(beta), values[0], float(traces[0]))

@@ -1,14 +1,24 @@
 """Shared fixtures: the seeded random-graph corpus and brute-force oracles."""
 
+import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from walkentropy.cli import _round_floats
+from walkentropy.entropy import EntropyReport
 from walkentropy.graphs import Graph
-from walkentropy.spectral import CentralityDiagonal
+from walkentropy.spectral import CentralityDiagonal, SpectralDecomposition, exp_eigenvalues
 from walkentropy.walks import closed_walk_table
+
+#: Two disjoint K4: exp(3*beta) stays below the double range up to
+#: beta = 236.59, but the trace 2*exp(3*beta) + 6*exp(-beta) overflows
+#: beyond beta = 236.36.
+TWO_K4 = "n 8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 200
@@ -32,6 +42,16 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
+
+
+@st.composite
+def graphs(draw, max_n: int = 30):
+    """Any graph on 1..max_n vertices, at a density drawn from [0, 1]."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, frozenset(e for e in pairs if rng.random() < p))
 
 
 @pytest.fixture(scope="session")
@@ -121,3 +141,70 @@ def taylor_diagonal_oracle(
             coef *= beta / length
         values += coef * np.array([row[length] for row in table.diag], dtype=float)
     return CentralityDiagonal(float(beta), values, float(values.sum()))
+
+
+def per_point_report(d: SpectralDecomposition, beta: float, tol: float) -> EntropyReport:
+    """Walk entropy at one beta by the one-point formulas, no batching.
+
+    The reference for the batched grid: the diagonal is the gemv
+    ``weights @ exp(beta * lambda)``, its trace the sum of the exponentials,
+    and the entropy that of the nonzero probabilities.
+    """
+    e = exp_eigenvalues(d, beta)
+    values, trace = d.weights @ e, float(e.sum())
+    p = values / trace
+    positive = p > 0.0
+    entropy = float(-(p[positive] * np.log(p[positive])).sum())
+    max_entropy = math.log(p.shape[0])
+    spread = float((values.max() - values.min()) / values.mean())
+    return EntropyReport(
+        beta=float(beta),
+        entropy=entropy,
+        max_entropy=max_entropy,
+        deficit=max_entropy - entropy,
+        probabilities=p,
+        trace=trace,
+        spread=spread,
+        is_maximal=spread <= tol,
+    )
+
+
+def per_point_scan(
+    d: SpectralDecomposition, beta_min: float, beta_max: float, step: float, tol: float
+) -> list[EntropyReport]:
+    """The scan grid evaluated one beta at a time."""
+    count = int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
+    return [per_point_report(d, beta_min + t * step, tol) for t in range(count)]
+
+
+def per_point_scan_csv(reports: list[EntropyReport], class_reps: list[int]) -> str:
+    """``scan --format csv`` stdout, one f-string cell at a time."""
+    header = "beta,entropy,max_entropy,deficit,spread" + "".join(
+        f",f_v{r}" for r in class_reps
+    )
+    lines = [header]
+    for rep in reports:
+        f = rep.centrality_values()
+        cells = [rep.beta, rep.entropy, rep.max_entropy, rep.deficit, rep.spread]
+        cells.extend(float(f[r]) for r in class_reps)
+        lines.append(",".join(f"{c:.12g}" for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def per_point_scan_json(reports: list[EntropyReport], class_reps: list[int]) -> str:
+    """``scan --format json`` stdout through ``json.dumps`` of rounded dicts."""
+    rows = [
+        {
+            "beta": r.beta,
+            "entropy": r.entropy,
+            "max_entropy": r.max_entropy,
+            "deficit": r.deficit,
+            "spread": r.spread,
+            "class_values": {
+                str(rep): float(v)
+                for rep, v in zip(class_reps, r.centrality_values()[class_reps])
+            },
+        }
+        for r in reports
+    ]
+    return json.dumps(_round_floats(rows), indent=2) + "\n"

@@ -3,10 +3,15 @@
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import walkentropy
+from conftest import TWO_K4
 from walkentropy import cli, entropy, graphs, spectral, temperature, walks
 from walkentropy.cli import main
 from walkentropy.graphs import complete_graph, parse_edge_list, serialize_edge_list
@@ -128,6 +133,12 @@ class TestEntropy:
         code, _, err = run(capsys, "entropy", "--hm", "4", "--beta", "-1")
         assert code == 1
 
+    def test_trace_overflow_is_computation_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TWO_K4))
+        code, out, err = run(capsys, "entropy", "-", "--beta", "236.45")
+        assert (code, out) == (2, "")
+        assert "trace of exp(beta*A) overflows double precision at beta=236.45" in err
+
 
 class TestScan:
     def test_csv_columns_for_h4(self, capsys):
@@ -171,6 +182,40 @@ class TestScan:
     def test_invalid_step(self, capsys):
         code, _, err = run(capsys, "scan", "--hm", "1", "--step", "0")
         assert code == 1
+
+    def test_json_round_trips(self, capsys):
+        code, out, _ = run(
+            capsys, "scan", "--hm", "4", "--beta-max", "3", "--step", "0.01", "--format", "json"
+        )
+        assert code == 0
+        assert len(json.loads(out)) == 301
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    def test_fresh_process_json_equals_in_process(self, capsys, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n3 4\n4 5\n")
+        argv = ("scan", str(path), "--beta-max", "4", "--step", "0.001", "--format", "json")
+        _, expected, _ = run(capsys, *argv)
+        src = str(Path(walkentropy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkentropy.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == expected
+        assert expected.count("\n    \"beta\": ") == 4001
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_trace_overflow_is_computation_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "2k4.edges"
+        path.write_text(TWO_K4)
+        grid = ("--beta-min", "236.4", "--beta-max", "236.5", "--step", "0.1")
+        code, out, err = run(capsys, "scan", str(path), *grid, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            "computation error: trace of exp(beta*A) overflows double precision at beta=236.4\n"
+        )
 
 
 class TestFindCrossings:

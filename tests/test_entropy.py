@@ -1,12 +1,30 @@
 """Walk entropy, the maximality predicate, and the scan serialization."""
 
+import contextlib
+import io
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import taylor_diagonal_oracle
+import walkentropy.entropy
+import walkentropy.spectral
+from conftest import (
+    TWO_K4,
+    graphs,
+    per_point_report,
+    per_point_scan,
+    per_point_scan_csv,
+    per_point_scan_json,
+    taylor_diagonal_oracle,
+)
+from walkentropy.cli import main
 from walkentropy.entropy import (
+    MAXIMALITY_TOL,
     entropy_from_diagonal,
     entropy_scan,
     is_entropy_maximal,
@@ -14,7 +32,13 @@ from walkentropy.entropy import (
     scan_csv_lines,
     walk_entropy,
 )
-from walkentropy.graphs import complete_graph, hm_graph, star_graph
+from walkentropy.graphs import (
+    complete_graph,
+    hm_graph,
+    parse_edge_list,
+    serialize_edge_list,
+    star_graph,
+)
 from walkentropy.spectral import (
     CentralityOverflowError,
     centrality_diagonal,
@@ -164,6 +188,105 @@ class TestEntropyScan:
         d = eigendecompose(hm_graph(4))
         with pytest.raises(CentralityOverflowError, match="beta=199"):
             entropy_scan(d, 199.0, 201.0, 1.0)
+
+
+class TestTraceOverflow:
+    """An overflowing trace below the exp guard is an error, not garbage."""
+
+    def test_single_beta(self):
+        d = eigendecompose(parse_edge_list(TWO_K4))
+        with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.45$"):
+            walk_entropy(d, 236.45)
+        with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.45$"):
+            centrality_diagonal(d, 236.45)
+
+    def test_scan_names_the_first_overflowing_trace(self):
+        d = eigendecompose(parse_edge_list(TWO_K4))
+        with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.4$"):
+            entropy_scan(d, 236.0, 237.0, 0.1)
+
+    def test_values_below_the_overflow_are_finite(self):
+        d = eigendecompose(parse_edge_list(TWO_K4))
+        for r in entropy_scan(d, 236.0, 236.3, 0.1):
+            assert math.isfinite(r.entropy) and math.isfinite(r.spread)
+            assert np.isfinite(r.centrality_values()).all()
+
+
+class TestScanWorkCounts:
+    """A scan is one array pass: no per-point diagonal or report calls."""
+
+    def test_4001_points_in_one_pass(self, monkeypatch):
+        counts = Counter()
+        for module, name in (
+            (walkentropy.spectral, "centrality_diagonal"),
+            (walkentropy.spectral, "exp_eigenvalues"),
+            (walkentropy.entropy, "centrality_diagonal"),
+            (walkentropy.entropy, "entropy_from_diagonal"),
+            (walkentropy.entropy, "walk_entropy"),
+            (walkentropy.entropy, "_centrality_rows"),
+        ):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        reports = entropy_scan(eigendecompose(hm_graph(4)), 0.0, 4.0, 0.001)
+        assert len(reports) == 4001
+        assert counts == {"_centrality_rows": 1}
+
+
+def _fields(r):
+    return (r.beta, r.entropy, r.max_entropy, r.deficit, r.trace, r.spread, r.is_maximal)
+
+
+def _cli_stdout(g, *argv) -> str:
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(serialize_edge_list(g))):
+        with contextlib.redirect_stdout(out):
+            assert main(["scan", "-", *argv]) == 0
+    return out.getvalue()
+
+
+class TestBatchedScanIsPerPoint:
+    """Every batched row is bitwise the one-point result, and ``scan``
+    prints the bytes of the per-point CSV and ``json.dumps`` writers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graphs(max_n=24),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.001, max_value=0.5),
+        st.floats(min_value=0.0, max_value=300.0),
+    )
+    def test_rows_and_bytes(self, g, beta_min, step, steps):
+        d = eigendecompose(g)
+        # stay below the overflow of the trace, log n + beta * lambda_max
+        beta_max = min(beta_min + steps * step, 700.0 / max(1.0, float(d.eigenvalues[0])))
+        reports = entropy_scan(d, beta_min, beta_max, step)
+        oracle = per_point_scan(d, beta_min, beta_max, step, MAXIMALITY_TOL)
+        assert len(reports) == len(oracle)
+        for r, o in zip(reports, oracle):
+            w, cd = walk_entropy(d, r.beta), centrality_diagonal(d, r.beta)
+            assert _fields(r) == _fields(o) == _fields(w)
+            assert np.array_equal(r.probabilities, o.probabilities)
+            assert np.array_equal(r.probabilities, w.probabilities)
+            assert r.trace == cd.trace
+            assert np.array_equal(r.probabilities, cd.values / cd.trace)
+
+        reps = [c[0] for c in vertex_classes(g)]
+        grid = ("--beta-min", repr(beta_min), "--beta-max", repr(beta_max), "--step", repr(step))
+        assert _cli_stdout(g, *grid, "--format", "csv") == per_point_scan_csv(oracle, reps)
+        assert _cli_stdout(g, *grid, "--format", "json") == per_point_scan_json(oracle, reps)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.912023505180, 7.5])
+    def test_single_beta_routes_agree(self, beta):
+        d = eigendecompose(hm_graph(4))
+        o = per_point_report(d, beta, MAXIMALITY_TOL)
+        for r in (walk_entropy(d, beta), entropy_from_diagonal(centrality_diagonal(d, beta))):
+            assert _fields(r) == _fields(o)
+            assert np.array_equal(r.probabilities, o.probabilities)
 
 
 class TestScanCsv:

@@ -7,11 +7,11 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     bigint_closed_walk_table,
     brute_force_closed_walks,
+    graphs,
     random_connected_graph,
 )
 import walkentropy.walks as walks
@@ -91,16 +91,6 @@ class TestClosedWalkTable:
         assert table.diag[0][40] > 2**63
         # closed walks on K_n: ((n-1)^l + (n-1)*(-1)^l) / n
         assert table.diag[0][40] == (7**40 + 7) // 8
-
-
-@st.composite
-def graphs(draw):
-    """Any graph on 1..30 vertices, at a density drawn from [0, 1]."""
-    n = draw(st.integers(min_value=1, max_value=30))
-    p = draw(st.floats(min_value=0.0, max_value=1.0))
-    rng = draw(st.randoms(use_true_random=False))
-    pairs = itertools.combinations(range(n), 2)
-    return Graph(n, frozenset(e for e in pairs if rng.random() < p))
 
 
 class TestAgainstBigintOracle:
