@@ -14,7 +14,9 @@ this module only parses flags, dispatches, and formats.
 
 Exit status: 0 success, 1 usage or input error, 2 computation error
 (overflow, eigensolver failure).  Output is deterministic: machine formats
-carry 12 significant digits, human output 6; warnings go to stderr.
+carry 12 significant digits, human output 6; warnings go to stderr.  CSV
+values are ``'%.12g' % x`` and human values ``'%.6g' % x``; a JSON number
+is ``repr(float('%.12g' % x))``, as ``json.dumps`` prints the rounded float.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .entropy import (
     MAXIMALITY_TOL,
-    _scan_cells,
-    entropy_scan,
+    _csv_lines,
+    _scan_table,
     scan_csv_lines,
     walk_entropy,
 )
@@ -193,39 +197,71 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _write_scan_json(reports, reps: list[int]) -> None:
+def _repr_may_differ(x: np.ndarray) -> np.ndarray:
+    """A mask that covers every x where ``'%.12g' % x`` is not
+    ``repr(_round12(x))``, the number ``json.dumps`` prints.
+
+    For a normal double the digits agree: 12 digits round-trip, so repr
+    finds the same shortest ones.  The forms differ only where the rounded
+    value is integral, so below 1e16 (repr appends ``.0``, and writes
+    e+12 to e+15 positionally), which x within 1e-11 relative of an
+    integer covers; and for subnormals, where 12 digits need not
+    round-trip, which |x| < 1e-307 covers.
+    """
+    a = np.abs(x)
+    return (a < 1e-307) | ((a < 1e16) & (np.abs(x - np.rint(x)) <= 1e-11 * a))
+
+
+def _write_scan_json(table: np.ndarray, reps: list[int]) -> None:
     """Scan rows as ``json.dumps(_round_floats(rows), indent=2)`` prints them.
 
-    Each row is one %-template over its rounded values; ``%r`` is the
-    ``float.__repr__`` that ``json.dumps`` emits for finite floats.
+    Each row is one %-template: ``%.12g`` for every value, except ``%s``
+    with ``repr(_round12(x))`` where the two differ, which is checked only
+    where :func:`_repr_may_differ` says they may.
     """
+    assert np.isfinite(table).all(), "scan values are finite"
     keys = ("beta", "entropy", "max_entropy", "deficit", "spread")
-    values = ",\n".join(f'      "{r}": %r' for r in reps)
-    fields = [f'    "{k}": %r' for k in keys] + [f'    "class_values": {{\n{values}\n    }}']
-    row = "  {\n" + ",\n".join(fields) + "\n  }"
-    rows = []
-    for cells in _scan_cells(reports, reps):
-        assert all(map(math.isfinite, cells)), "scan values are finite"
-        rows.append(row % tuple(map(_round12, cells)))
-    sys.stdout.write("[\n" + ",\n".join(rows) + "\n]\n")
+
+    def template(cols: tuple[int, ...]) -> str:
+        specs = ["%.12g"] * table.shape[1]
+        for j in cols:
+            specs[j] = "%s"
+        values = ",\n".join(f'      "{r}": {spec}' for r, spec in zip(reps, specs[5:]))
+        fields = [f'    "{k}": {spec}' for k, spec in zip(keys, specs)]
+        fields.append(f'    "class_values": {{\n{values}\n    }}')
+        return "  {\n" + ",\n".join(fields) + "\n  }"
+
+    rows = table.tolist()
+    fixed: dict[int, list[int]] = {}
+    for i, j in np.argwhere(_repr_may_differ(table)).tolist():
+        token = repr(_round12(rows[i][j]))
+        if token != "%.12g" % rows[i][j]:
+            rows[i][j] = token
+            fixed.setdefault(i, []).append(j)
+    templates = {(): template(())}
+    out = []
+    for i, cells in enumerate(rows):
+        cols = tuple(fixed.get(i, ()))
+        if cols not in templates:
+            templates[cols] = template(cols)
+        out.append(templates[cols] % tuple(cells))
+    sys.stdout.write("[\n" + ",\n".join(out) + "\n]\n")
 
 
 def _cmd_scan(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
-    reports = entropy_scan(d, args.beta_min, args.beta_max, args.step)
     reps = [c[0] for c in vertex_classes(g)]
+    table = _scan_table(d, args.beta_min, args.beta_max, args.step, reps)
     if args.format == "csv":
-        print("\n".join(scan_csv_lines(reports, reps)))
+        sys.stdout.write("\n".join(_csv_lines(table, reps)) + "\n")
     elif args.format == "json":
-        _write_scan_json(reports, reps)
+        _write_scan_json(table, reps)
     else:
-        print(f"{'beta':>12} {'entropy':>12} {'deficit':>12} {'spread':>12}")
-        for r in reports:
-            print(
-                f"{_human(r.beta):>12} {_human(r.entropy):>12} "
-                f"{_human(r.deficit):>12} {_human(r.spread):>12}"
-            )
+        # beta, entropy, deficit, spread; "%12.6g" is f"{_human(x):>12}"
+        lines = [f"{'beta':>12} {'entropy':>12} {'deficit':>12} {'spread':>12}"]
+        lines += ["%12.6g %12.6g %12.6g %12.6g" % tuple(r) for r in table[:, [0, 1, 3, 4]].tolist()]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -69,15 +69,24 @@ def relative_spread(values: np.ndarray) -> float:
     return float(_row_spreads(np.asarray(values, dtype=float)[None, :])[0])
 
 
-def _reports(
-    betas: np.ndarray, values: np.ndarray, traces: np.ndarray, tol: float
-) -> list[EntropyReport]:
-    """One report per row of ``values``, the diagonal of exp(beta*A) at ``betas``."""
+def _row_entropies(
+    values: np.ndarray, traces: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probabilities, entropy and spread of each row of ``values``, the
+    diagonal of exp(beta*A) with trace ``traces``."""
     spreads = _row_spreads(values)
     p = values / traces[:, None]
     # 0*log 0 := 0; cannot occur for beta >= 0 where f >= 1
     logs = np.log(np.where(p > 0.0, p, 1.0))
     entropies = -np.multiply(p, logs, out=logs).sum(axis=1)
+    return p, entropies, spreads
+
+
+def _reports(
+    betas: np.ndarray, values: np.ndarray, traces: np.ndarray, tol: float
+) -> list[EntropyReport]:
+    """One report per row of ``values``, the diagonal of exp(beta*A) at ``betas``."""
+    p, entropies, spreads = _row_entropies(values, traces)
     max_entropy = math.log(p.shape[1])
     return [
         EntropyReport(
@@ -123,6 +132,17 @@ def is_entropy_maximal(
     return relative_spread(centrality_diagonal(d, beta).values) <= tol
 
 
+def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:
+    """The grid beta_min, beta_min+step, ..., <= beta_max, validated."""
+    _check_finite(beta_min=beta_min, beta_max=beta_max, step=step)
+    if beta_min < 0 or beta_max < beta_min:
+        raise ValueError(f"need 0 <= beta_min <= beta_max, got [{beta_min}, {beta_max}]")
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    count = int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
+    return beta_min + np.arange(count) * step
+
+
 def entropy_scan(
     d: SpectralDecomposition, beta_min: float, beta_max: float, step: float
 ) -> list[EntropyReport]:
@@ -131,24 +151,44 @@ def entropy_scan(
     The whole grid is evaluated in one array pass; each report is bitwise
     the :func:`walk_entropy` report at its beta, decided at ``MAXIMALITY_TOL``.
     """
-    _check_finite(beta_min=beta_min, beta_max=beta_max, step=step)
-    if beta_min < 0 or beta_max < beta_min:
-        raise ValueError(f"need 0 <= beta_min <= beta_max, got [{beta_min}, {beta_max}]")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    count = int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
-    betas = beta_min + np.arange(count) * step
+    betas = _scan_betas(beta_min, beta_max, step)
     return _reports(betas, *_centrality_rows(d, betas), MAXIMALITY_TOL)
 
 
-def _scan_cells(reports: list[EntropyReport], class_reps: list[int]):
-    """Per report: beta, entropy, max_entropy, deficit, spread, then f at
-    each vertex-class representative, as Python floats."""
-    reps = np.asarray(class_reps, dtype=np.intp)
-    for r in reports:
-        yield [r.beta, r.entropy, r.max_entropy, r.deficit, r.spread] + (
-            r.probabilities[reps] * r.trace
-        ).tolist()
+def _scan_table(
+    d: SpectralDecomposition,
+    beta_min: float,
+    beta_max: float,
+    step: float,
+    class_reps: list[int],
+) -> np.ndarray:
+    """The :func:`entropy_scan` grid, one row per beta: beta, entropy,
+    max_entropy, deficit, spread, then f at each vertex-class representative.
+
+    Every cell is bitwise the field of the matching report (f is
+    ``probabilities[class_reps] * trace``), but no report is built.
+    """
+    betas = _scan_betas(beta_min, beta_max, step)
+    values, traces = _centrality_rows(d, betas)
+    p, entropies, spreads = _row_entropies(values, traces)
+    max_entropy = math.log(p.shape[1])
+    return np.column_stack((
+        betas,
+        entropies,
+        np.full(betas.size, max_entropy),
+        max_entropy - entropies,
+        spreads,
+        p[:, class_reps] * traces[:, None],
+    ))
+
+
+def _csv_lines(table: np.ndarray, class_reps: list[int]) -> list[str]:
+    """Header and one ``%.12g`` row per row of a scan table."""
+    header = "beta,entropy,max_entropy,deficit,spread" + "".join(
+        f",f_v{r}" for r in class_reps
+    )
+    row = ",".join(["%.12g"] * table.shape[1])
+    return [header] + [row % tuple(cells) for cells in table.tolist()]
 
 
 def scan_csv_lines(reports: list[EntropyReport], class_reps: list[int]) -> list[str]:
@@ -157,8 +197,10 @@ def scan_csv_lines(reports: list[EntropyReport], class_reps: list[int]) -> list[
     Column order is fixed: beta, entropy, max_entropy, deficit, spread,
     then one centrality column per vertex-class representative.
     """
-    header = "beta,entropy,max_entropy,deficit,spread" + "".join(
-        f",f_v{r}" for r in class_reps
-    )
-    row = ",".join(["%.12g"] * (5 + len(class_reps)))
-    return [header] + [row % tuple(cells) for cells in _scan_cells(reports, class_reps)]
+    rows = [
+        [r.beta, r.entropy, r.max_entropy, r.deficit, r.spread]
+        + (r.probabilities[class_reps] * r.trace).tolist()
+        for r in reports
+    ]
+    table = np.array(rows, dtype=float).reshape(len(rows), 5 + len(class_reps))
+    return _csv_lines(table, class_reps)

@@ -1,19 +1,24 @@
 """CLI surface: dispatch, formats, exit codes, determinism; package surface."""
 
+import contextlib
 import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import walkentropy
 from conftest import TWO_K4
 from walkentropy import cli, entropy, graphs, spectral, temperature, walks
-from walkentropy.cli import main
+from walkentropy.cli import _round_floats, _write_scan_json, main
 from walkentropy.graphs import complete_graph, parse_edge_list, serialize_edge_list
 
 
@@ -206,6 +211,24 @@ class TestScan:
         assert proc.stdout.decode() == expected
         assert expected.count("\n    \"beta\": ") == 4001
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+    def test_fresh_process_equals_in_process(self, capsys, fmt):
+        # integral betas and f = 1 at beta = 0 take the JSON ".0" path
+        argv = ("scan", "--hm", "4", "--beta-min", "0", "--beta-max", "3", "--step", "0.25")
+        argv += ("--format", fmt)
+        _, expected, _ = run(capsys, *argv)
+        src = str(Path(walkentropy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkentropy.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == expected
+        assert expected.count("\n") == {"csv": 14, "json": 145, "human": 14}[fmt]
+        if fmt == "json":
+            assert '"beta": 1.0,' in expected and '"0": 1.0,' in expected
+
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     def test_trace_overflow_is_computation_error(self, capsys, tmp_path, fmt):
         path = tmp_path / "2k4.edges"
@@ -216,6 +239,56 @@ class TestScan:
         assert err == (
             "computation error: trace of exp(beta*A) overflows double precision at beta=236.4\n"
         )
+
+
+def _scan_json(table: np.ndarray, reps: list[int]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_scan_json(table, reps)
+    return out.getvalue()
+
+
+class TestScanJsonNumbers:
+    """The scan JSON writer prints each number as ``json.dumps`` prints its
+    12-digit rounding, ``repr(float('%.12g' % x))``, for every finite double."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(1e-310)
+    @example(2.225073858507201e-308)  # largest subnormal
+    @example(2.2250738585072014e-308)  # smallest normal
+    @example(1.0)
+    @example(-7.0)
+    @example(3.0000000000001)  # rounds to an integer
+    @example(0.99999999999996)
+    @example(123456789012.0)
+    @example(999999999999.4)
+    @example(999999999999.6)  # rounds to 1e12
+    @example(1 - 2.0**-53)
+    @example(-(1 - 2.0**-53))
+    @example(9999999999999998.0)
+    @example(1.7976931348623157e308)
+    def test_token_is_repr_of_the_rounding(self, x):
+        table = np.array([[x, 0.5, x, -x, x, x, 2.5], [0.25, x, 1.0, 0.5, -x, 3.0, x]])
+        text = _scan_json(table, [0, 7])
+        tokens = re.findall(r'": ([-0-9][^,\n]*)', text)
+        assert tokens == [repr(float("%.12g" % v)) for v in table.ravel().tolist()]
+        rows = [
+            dict(zip(("beta", "entropy", "max_entropy", "deficit", "spread"), r[:5]))
+            | {"class_values": {"0": r[5], "7": r[6]}}
+            for r in table.tolist()
+        ]
+        assert text == json.dumps(_round_floats(rows), indent=2) + "\n"
+
+    @pytest.mark.parametrize("e", range(11, 18))
+    def test_powers_of_ten(self, e):
+        for x in (10.0**e, -(10.0**e), 1.2345678901234567 * 10.0**e, 10.0**e - 1):
+            table = np.full((1, 6), x)
+            tokens = re.findall(r'": ([-0-9][^,\n]*)', _scan_json(table, [0]))
+            assert tokens == [repr(float("%.12g" % x))] * 6
 
 
 class TestFindCrossings:

@@ -212,28 +212,47 @@ class TestTraceOverflow:
             assert np.isfinite(r.centrality_values()).all()
 
 
+def _count_calls(monkeypatch, targets) -> Counter:
+    """Count the calls of each ``(module, name)`` in ``targets`` by name."""
+    counts = Counter()
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 class TestScanWorkCounts:
     """A scan is one array pass: no per-point diagonal or report calls."""
 
     def test_4001_points_in_one_pass(self, monkeypatch):
-        counts = Counter()
-        for module, name in (
+        counts = _count_calls(monkeypatch, (
             (walkentropy.spectral, "centrality_diagonal"),
             (walkentropy.spectral, "exp_eigenvalues"),
             (walkentropy.entropy, "centrality_diagonal"),
             (walkentropy.entropy, "entropy_from_diagonal"),
             (walkentropy.entropy, "walk_entropy"),
             (walkentropy.entropy, "_centrality_rows"),
-        ):
-            real = getattr(module, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        ))
         reports = entropy_scan(eigendecompose(hm_graph(4)), 0.0, 4.0, 0.001)
         assert len(reports) == 4001
+        assert counts == {"_centrality_rows": 1}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+    def test_cli_scan_builds_no_reports(self, monkeypatch, fmt):
+        counts = _count_calls(monkeypatch, (
+            (walkentropy.spectral, "centrality_diagonal"),
+            (walkentropy.entropy, "_centrality_rows"),
+            (walkentropy.entropy, "EntropyReport"),
+        ))
+        argv = ["scan", "--hm", "4", "--beta-max", "4", "--step", "0.001", "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue().count("\n") > 4001
         assert counts == {"_centrality_rows": 1}
 
 
