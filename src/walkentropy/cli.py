@@ -42,19 +42,10 @@ from .spectral import (
     EigendecompositionError,
     eigendecompose,
 )
-from .temperature import (
-    CROSSING_SPREAD_TOL,
-    IndistinguishableClassesError,
-    find_crossings,
-    verify_counterexample,
-)
+from .temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
 from .walks import is_walk_regular, vertex_classes
 
-_COMPUTATION_ERRORS = (
-    CentralityOverflowError,
-    EigendecompositionError,
-    IndistinguishableClassesError,
-)
+_COMPUTATION_ERRORS = (CentralityOverflowError, EigendecompositionError)
 
 
 class UsageError(Exception):
@@ -294,9 +285,7 @@ def _cmd_find_crossings(args) -> int:
 
 
 def _cmd_verify_counterexample(args) -> int:
-    g = _load_graph(args)
-    tol = args.tol if args.tol is not None else MAXIMALITY_TOL
-    report = verify_counterexample(g, args.beta_max, args.step, beta_one_tol=tol)
+    report = verify_counterexample(_load_graph(args), args.beta_max, args.step)
     if args.format == "json":
         _print_json(report.as_dict())
         return 0
@@ -390,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-counterexample",
-        parents=[io_parent, tol_parent, grid_parent],
+        parents=[io_parent, grid_parent],
         help="walk-regularity, crossings, and conjecture checks",
     )
     p.set_defaults(func=_cmd_verify_counterexample)

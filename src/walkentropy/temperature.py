@@ -16,6 +16,9 @@ infinity the class whose grouped-weight vector is lexicographically
 largest (over distinct eigenvalues, descending) dominates;
 :func:`dominance` reports that class and a horizon beta beyond which its
 lead is certified by a remainder bound, so no roots exist past it.
+
+Maximality at beta = 1 is a theorem, not an open conjecture: it holds
+exactly for walk-regular graphs (see :func:`verify_counterexample`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import MAXIMALITY_TOL, _check_finite, is_entropy_maximal, relative_spread
+from .entropy import _check_finite, relative_spread
 from .graphs import Graph, degree_summary
 from .spectral import (
     SpectralDecomposition,
@@ -162,7 +165,11 @@ class DominanceReport:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """Combined diagnostic for the 'maximal entropy without walk-regularity' test."""
+    """Combined diagnostic for the 'maximal entropy without walk-regularity' test.
+
+    ``entropy_maximal_at_beta_one`` is the exact verdict (a theorem, no
+    longer an open conjecture); ``crossing_bound`` is still a conjecture.
+    """
 
     verdict: WalkRegularityVerdict
     degree_histogram: dict[int, int]
@@ -282,12 +289,12 @@ def _scan_pair(
 
 def _scan(
     g: Graph, beta_max: float, grid_step: float, spread_tol: float
-) -> tuple[WalkRegularityVerdict, CrossingScan, SpectralDecomposition | None]:
+) -> tuple[WalkRegularityVerdict, CrossingScan]:
     """Shared body of :func:`find_crossings` and :func:`verify_counterexample`.
 
     Builds the exact walk table once and the eigendecomposition at most once
-    (``None`` when the graph is walk-regular) and hands both back with the
-    scan.  Warnings point at the caller of the public function.
+    (not at all when the graph is walk-regular).  Warnings point at the
+    caller of the public function.
     """
     _check_finite(beta_max=beta_max, grid_step=grid_step)
     if beta_max <= 0:
@@ -299,7 +306,7 @@ def _scan(
     verdict = _verdict(table)
     classes = verdict.classes
     if verdict.is_walk_regular:
-        return verdict, CrossingScan(True, classes, (), (), ()), None
+        return verdict, CrossingScan(True, classes, (), (), ())
 
     d = eigendecompose(g)
     exp_eigenvalues(d, beta_max)  # fail fast on overflow before scanning
@@ -360,7 +367,7 @@ def _scan(
             pairwise.append(PairwiseCrossing(beta_star, pair, spread))
 
     scan = CrossingScan(False, classes, tuple(crossings), tuple(pairwise), tuple(notes))
-    return verdict, scan, d
+    return verdict, scan
 
 
 def find_crossings(
@@ -477,21 +484,19 @@ def dominance(
 
 
 def verify_counterexample(
-    g: Graph,
-    beta_max: float = 10.0,
-    grid_step: float = 0.01,
-    beta_one_tol: float = MAXIMALITY_TOL,
+    g: Graph, beta_max: float = 10.0, grid_step: float = 0.01
 ) -> CounterexampleReport:
-    """Full diagnostic: exact walk-regularity, crossings, and conjecture checks.
+    """Full diagnostic: exact walk-regularity, crossings, and the beta = 1 theorem.
 
     A graph "is a counterexample" when it is not walk-regular yet attains
-    maximal walk entropy at some located beta > 0.  The report also records
-    whether entropy is maximal at beta = 1 and whether the number of located
-    crossings stays within n - 1, the two open conjectures worth tracking.
+    maximal walk entropy at some located beta > 0.  Entropy is maximal at
+    beta = 1 exactly when the graph is walk-regular: a class difference is
+    sum_j c_j e^{lambda_j} with algebraic c_j (spectral projector entries)
+    and distinct algebraic lambda_j, so by Lindemann-Weierstrass it vanishes
+    only if every c_j does, i.e. only if the two classes are one.  The report
+    also records whether the located crossings number at most n - 1.
     """
-    verdict, scan, d = _scan(g, beta_max, grid_step, CROSSING_SPREAD_TOL)
-    if d is None:  # walk-regular: the scan needed no decomposition
-        d = eigendecompose(g)
+    verdict, scan = _scan(g, beta_max, grid_step, CROSSING_SPREAD_TOL)
     count = len(scan.crossings)
     return CounterexampleReport(
         verdict=verdict,
@@ -499,7 +504,7 @@ def verify_counterexample(
         scan=scan,
         crossing_count=count,
         is_counterexample=(not verdict.is_walk_regular) and count >= 1,
-        entropy_maximal_at_beta_one=is_entropy_maximal(d, 1.0, beta_one_tol),
+        entropy_maximal_at_beta_one=verdict.is_walk_regular,
         crossing_bound=g.n - 1,
         within_crossing_bound=count <= g.n - 1,
     )

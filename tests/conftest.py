@@ -20,6 +20,10 @@ from walkentropy.walks import closed_walk_table
 #: beyond beta = 236.36.
 TWO_K4 = "n 8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"
 
+# a tree whose leaves 1 and 5 first differ in closed-walk count at length 6,
+# so their spectral difference at beta = 0.01 (~1e-15) is round-off
+DEEP_PAIR_TREE = Graph(7, frozenset({(0, 3), (0, 4), (1, 2), (2, 4), (3, 5), (4, 6)}))
+
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 200
 

@@ -367,7 +367,6 @@ def test_usage_error_exit_code_is_one(capsys):
     [
         (("find-crossings", "--hm", "4", "--tol", "-1"), "--tol"),
         (("entropy", "--hm", "4", "--beta", "1", "--tol", "-1"), "--tol"),
-        (("verify-counterexample", "--hm", "4", "--tol", "-1"), "--tol"),
         (("entropy", "--hm", "4", "--beta", "nan"), "--beta"),
         (("scan", "--hm", "4", "--beta-max", "inf"), "--beta-max"),
         (("find-crossings", "--hm", "4", "--beta-max", "nan"), "--beta-max"),
@@ -375,7 +374,6 @@ def test_usage_error_exit_code_is_one(capsys):
     ids=[
         "find-crossings-tol-negative",
         "entropy-tol-negative",
-        "verify-counterexample-tol-negative",
         "entropy-beta-nan",
         "scan-beta-max-inf",
         "find-crossings-beta-max-nan",
@@ -388,7 +386,7 @@ def test_bad_number_is_usage_error(capsys, argv, flag):
     assert f"argument {flag}: must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["scan", "check-walk-regular"])
+@pytest.mark.parametrize("command", ["scan", "check-walk-regular", "verify-counterexample"])
 def test_tol_only_on_commands_it_acts_on(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--hm", "4", "--tol", "1"])
@@ -414,14 +412,8 @@ class TestToleranceDefaults:
                 "spread_tol",
                 temperature.CROSSING_SPREAD_TOL,
             ),
-            (
-                ("verify-counterexample",),
-                "verify_counterexample",
-                "beta_one_tol",
-                entropy.MAXIMALITY_TOL,
-            ),
         ],
-        ids=["entropy", "find-crossings", "verify-counterexample"],
+        ids=["entropy", "find-crossings"],
     )
     def test_tolerance_handed_to_the_library(
         self, capsys, monkeypatch, argv, function, param, expected
@@ -439,6 +431,13 @@ class TestToleranceDefaults:
         code, _, _ = run(capsys, *argv, "--hm", "4")
         assert code == 0
         assert seen == [expected]
+
+
+def test_readme_find_crossings_example_is_current(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```text\n\$ walkentropy find-crossings --hm 4\n(.*?)```", readme, re.S)
+    assert block is not None
+    assert run(capsys, "find-crossings", "--hm", "4") == (0, block.group(1), "")
 
 
 def test_package_reexports_each_module_all():

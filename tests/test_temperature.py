@@ -7,9 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import walkentropy.entropy
 import walkentropy.spectral
 import walkentropy.temperature
 import walkentropy.walks
+from conftest import DEEP_PAIR_TREE
 from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star_graph
 from walkentropy.spectral import eigendecompose
@@ -29,10 +31,6 @@ from walkentropy.walks import vertex_classes
 # external anchors are 0.499 and 1.912 at 5e-3
 H4_ROOT_LOW = 0.499001412933
 H4_ROOT_HIGH = 1.912023505180
-
-# a tree whose leaves 1 and 5 first differ in closed-walk count at length 6,
-# so their spectral difference at beta = 0.01 (~1e-15) is round-off
-DEEP_PAIR_TREE = Graph(7, frozenset({(0, 3), (0, 4), (1, 2), (2, 4), (3, 5), (4, 6)}))
 
 
 class TestClassDifference:
@@ -212,13 +210,25 @@ class TestWorkCounts:
             monkeypatch.setattr(walkentropy.temperature, name, counted)
         return counts
 
-    @pytest.mark.parametrize("graph", [hm_graph(4), complete_graph(4)], ids=["HM4", "K4"])
+    @pytest.mark.parametrize("graph", [hm_graph(4)], ids=["HM4"])
     def test_verify_counterexample(self, counts, graph):
         verify_counterexample(graph)
         assert counts == {"closed_walk_table": 1, "eigendecompose": 1}
 
-    def test_find_crossings_skips_eigh_when_walk_regular(self, counts):
-        find_crossings(complete_graph(4))
+    @pytest.mark.parametrize(
+        "entry", [find_crossings, verify_counterexample], ids=lambda f: f.__name__
+    )
+    def test_walk_regular_takes_no_spectral_work(self, counts, monkeypatch, entry):
+        # the exact verdict answers everything for K4, beta = 1 included
+        real = walkentropy.spectral.centrality_diagonal
+
+        def counted(*args, **kwargs):
+            counts["centrality_diagonal"] += 1
+            return real(*args, **kwargs)
+
+        for module in (walkentropy.spectral, walkentropy.entropy, walkentropy.temperature):
+            monkeypatch.setattr(module, "centrality_diagonal", counted)
+        entry(complete_graph(4))
         assert counts == {"closed_walk_table": 1}
 
     def test_hm4_table_stops_at_certified_length(self, counts, monkeypatch):
