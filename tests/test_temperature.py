@@ -1,7 +1,9 @@
 """Crossing location, asymptotic dominance, and the counterexample report."""
 
 import math
+import tracemalloc
 import types
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,13 +13,19 @@ import walkentropy.entropy
 import walkentropy.spectral
 import walkentropy.temperature
 import walkentropy.walks
-from conftest import DEEP_PAIR_TREE
+from conftest import (
+    DEEP_PAIR_TREE,
+    all_pairs_scan,
+    bigint_closed_walk_table,
+    zero_plus_sign,
+)
 from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star_graph
 from walkentropy.spectral import eigendecompose
 from walkentropy.temperature import (
     CoarseGridWarning,
     IndistinguishableClassesError,
+    _profile_ranks,
     _resolved_signs,
     _scan_pair,
     class_difference,
@@ -25,12 +33,36 @@ from walkentropy.temperature import (
     find_crossings,
     verify_counterexample,
 )
-from walkentropy.walks import vertex_classes
+from walkentropy.walks import _certified_length, closed_walk_table, vertex_classes
 
 # bisection results at bracket width 1e-12, frozen for regression; the
 # external anchors are 0.499 and 1.912 at 5e-3
 H4_ROOT_LOW = 0.499001412933
 H4_ROOT_HIGH = 1.912023505180
+
+# graphs beside the corpus on which the idle-pair screen is checked against
+# the all-pairs reference: two classes with two roots, a third class that
+# turns both roots pairwise-only, and seven classes first differing deep
+SCREEN_GRAPHS = {
+    **{f"HM{m}": hm_graph(m) for m in range(3, 7)},
+    "deep-pair-tree": DEEP_PAIR_TREE,
+    "HM4+isolated": Graph(25, hm_graph(4).edges),
+}
+SCREEN_GRIDS = [{}, {"beta_max": 3.0, "grid_step": 0.05}]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The pairs ``_scan`` sends through ``_scan_pair``, in call order."""
+    pairs = []
+    real = walkentropy.temperature._scan_pair
+
+    def recorded(*args):
+        pairs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(walkentropy.temperature, "_scan_pair", recorded)
+    return pairs
 
 
 class TestClassDifference:
@@ -243,6 +275,85 @@ class TestWorkCounts:
         verify_counterexample(hm_graph(4))
         assert counts == {"closed_walk_table": 1, "eigendecompose": 1}
         assert lengths == [5]
+
+    @pytest.mark.parametrize(
+        "graph, scanned_pairs, class_pairs",
+        [
+            (star_graph(3), 0, 1),
+            (path_graph(3), 0, 1),
+            (hm_graph(4), 1, 1),
+            (Graph(25, hm_graph(4).edges), 1, 3),
+            (DEEP_PAIR_TREE, 6, 21),
+        ],
+        ids=["star3", "path3", "HM4", "HM4+isolated", "deep-pair-tree"],
+    )
+    def test_scan_pair_runs_only_on_pairs_that_can_change_sign(
+        self, scanned, graph, scanned_pairs, class_pairs
+    ):
+        k = len(find_crossings(graph).classes)
+        assert k * (k - 1) // 2 == class_pairs
+        assert len(scanned) == scanned_pairs
+
+    def test_repeated_reports_hold_no_memory(self):
+        # 12 vertices in 12 classes: the walk table, the classes and the
+        # representatives are tuples longer than the 10 items CPython
+        # preallocates for a tuple built from an iterator
+        g = Graph(12, path_graph(11).edges | {(2, 11)})
+        assert len(find_crossings(g).classes) == 12
+        tracemalloc.start()
+        try:
+            # the first calls fill bounded interpreter caches
+            for _ in range(50):
+                verify_counterexample(g, beta_max=1.0, grid_step=0.1).as_dict()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                verify_counterexample(g, beta_max=1.0, grid_step=0.1).as_dict()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # three tuples of 12 kept per call would be about 40 kB
+        assert grown < 16384
+
+
+class TestIdlePairScreen:
+    """Skipping idle pairs changes no report, warning or 0+ sign."""
+
+    @staticmethod
+    def assert_matches_all_pairs(g, grid, scanned):
+        scanned.clear()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            scan = find_crossings(g, **grid)
+        reference, per_pair = all_pairs_scan(g, **grid)
+        assert scan.as_dict() == reference.as_dict()
+        assert [str(w.message) for w in record] == list(reference.warnings)
+        assert all(w.category is CoarseGridWarning for w in record)
+        # every pair the screen skipped is one _scan_pair finds nothing on,
+        # and the scanned ones keep the all-pairs order
+        assert scanned == [p for p in per_pair if p in scanned]
+        for pair, result in per_pair.items():
+            if pair not in scanned:
+                assert result == ([], []), pair
+
+    @pytest.mark.parametrize("grid", SCREEN_GRIDS, ids=["default", "coarse"])
+    def test_corpus_matches_all_pairs(self, corpus, scanned, grid):
+        for g in corpus:
+            self.assert_matches_all_pairs(g, grid, scanned)
+
+    @pytest.mark.parametrize("grid", SCREEN_GRIDS, ids=["default", "coarse"])
+    @pytest.mark.parametrize("name", SCREEN_GRAPHS)
+    def test_named_graph_matches_all_pairs(self, scanned, name, grid):
+        self.assert_matches_all_pairs(SCREEN_GRAPHS[name], grid, scanned)
+
+    def test_profile_ranks_give_the_zero_plus_sign(self, corpus):
+        for g in [*corpus, *SCREEN_GRAPHS.values(), star_graph(3), path_graph(3)]:
+            reps = [c[0] for c in vertex_classes(g)]
+            rank = _profile_ranks(closed_walk_table(g, _certified_length(g)), reps)
+            profiles = bigint_closed_walk_table(g, g.n - 1)
+            for a in range(len(reps)):
+                for b in range(a + 1, len(reps)):
+                    expected = zero_plus_sign(profiles, reps[a], reps[b])
+                    assert (1 if rank[a] > rank[b] else -1) == expected
 
 
 class TestDominance:
