@@ -13,8 +13,9 @@ hub-matching graph in-process.  All numerical work lives in the library;
 this module only parses flags, dispatches, and formats.
 
 Exit status: 0 success, 1 usage or input error, 2 computation error
-(overflow, eigensolver failure).  Output is deterministic: machine formats
-carry 12 significant digits, human output 6; warnings go to stderr.  CSV
+(overflow, eigensolver failure, a grid too large for memory).  Output is
+deterministic: machine formats carry 12 significant digits, human output 6;
+warnings go to stderr.  CSV
 values are ``'%.12g' % x`` and human values ``'%.6g' % x``; a JSON number
 is ``repr(float('%.12g' % x))``, as ``json.dumps`` prints the rounded float.
 """
@@ -29,13 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import (
-    MAXIMALITY_TOL,
-    _csv_lines,
-    _scan_table,
-    scan_csv_lines,
-    walk_entropy,
-)
+from .entropy import MAXIMALITY_TOL, _csv_lines, _scan_table, walk_entropy
 from .graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
@@ -45,7 +40,8 @@ from .spectral import (
 from .temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
 from .walks import is_walk_regular, vertex_classes
 
-_COMPUTATION_ERRORS = (CentralityOverflowError, EigendecompositionError)
+# MemoryError: a grid too large to allocate, e.g. --step 1e-12
+_COMPUTATION_ERRORS = (CentralityOverflowError, EigendecompositionError, MemoryError)
 
 
 class UsageError(Exception):
@@ -177,7 +173,9 @@ def _cmd_entropy(args) -> int:
         _print_json(_entropy_report_dict(report))
     elif args.format == "csv":
         reps = [c[0] for c in vertex_classes(g)]
-        print("\n".join(scan_csv_lines([report], reps)))
+        head = [report.beta, report.entropy, report.max_entropy, report.deficit, report.spread]
+        row = np.hstack((head, report.probabilities[reps] * report.trace))
+        print("\n".join(_csv_lines(row[None, :], reps)))
     else:
         print(f"beta = {_human(report.beta)}")
         print(f"entropy = {_human(report.entropy)}")

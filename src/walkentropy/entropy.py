@@ -28,9 +28,6 @@ __all__ = [
     "relative_spread",
     "entropy_from_diagonal",
     "walk_entropy",
-    "is_entropy_maximal",
-    "entropy_scan",
-    "scan_csv_lines",
 ]
 
 #: Default relative diagonal spread below which entropy counts as maximal.
@@ -82,35 +79,30 @@ def _row_entropies(
     return p, entropies, spreads
 
 
-def _reports(
-    betas: np.ndarray, values: np.ndarray, traces: np.ndarray, tol: float
-) -> list[EntropyReport]:
-    """One report per row of ``values``, the diagonal of exp(beta*A) at ``betas``."""
-    p, entropies, spreads = _row_entropies(values, traces)
-    max_entropy = math.log(p.shape[1])
-    return [
-        EntropyReport(
-            beta=beta,
-            entropy=entropy,
-            max_entropy=max_entropy,
-            deficit=max_entropy - entropy,
-            probabilities=row,
-            trace=trace,
-            spread=spread,
-            is_maximal=spread <= tol,
-        )
-        for beta, entropy, row, trace, spread in zip(
-            betas.tolist(), entropies.tolist(), p, traces.tolist(), spreads.tolist()
-        )
-    ]
-
-
 def entropy_from_diagonal(
     cd: CentralityDiagonal, tol: float = MAXIMALITY_TOL
 ) -> EntropyReport:
-    """Entropy report from an already-evaluated diagonal of exp(beta*A)."""
+    """Entropy report from an already-evaluated diagonal of exp(beta*A).
+
+    Maximal means a relative spread at most ``tol``, a finite float > 0.
+    """
+    _check_finite(tol=tol)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     values = np.asarray(cd.values, dtype=float)[None, :]
-    return _reports(np.array([cd.beta]), values, np.array([cd.trace]), tol)[0]
+    p, entropies, spreads = _row_entropies(values, np.array([cd.trace]))
+    max_entropy = math.log(p.shape[1])
+    entropy, spread = float(entropies[0]), float(spreads[0])
+    return EntropyReport(
+        beta=float(cd.beta),
+        entropy=entropy,
+        max_entropy=max_entropy,
+        deficit=max_entropy - entropy,
+        probabilities=p[0],
+        trace=float(cd.trace),
+        spread=spread,
+        is_maximal=spread <= tol,
+    )
 
 
 def walk_entropy(
@@ -121,15 +113,6 @@ def walk_entropy(
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     return entropy_from_diagonal(centrality_diagonal(d, beta), tol)
-
-
-def is_entropy_maximal(
-    d: SpectralDecomposition, beta: float, tol: float = MAXIMALITY_TOL
-) -> bool:
-    """True iff all diagonal entries of exp(beta*A) agree within relative ``tol``."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return relative_spread(centrality_diagonal(d, beta).values) <= tol
 
 
 def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:
@@ -143,18 +126,6 @@ def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:
     return beta_min + np.arange(count) * step
 
 
-def entropy_scan(
-    d: SpectralDecomposition, beta_min: float, beta_max: float, step: float
-) -> list[EntropyReport]:
-    """Entropy reports at beta_min, beta_min+step, ..., <= beta_max, in order.
-
-    The whole grid is evaluated in one array pass; each report is bitwise
-    the :func:`walk_entropy` report at its beta, decided at ``MAXIMALITY_TOL``.
-    """
-    betas = _scan_betas(beta_min, beta_max, step)
-    return _reports(betas, *_centrality_rows(d, betas), MAXIMALITY_TOL)
-
-
 def _scan_table(
     d: SpectralDecomposition,
     beta_min: float,
@@ -162,10 +133,12 @@ def _scan_table(
     step: float,
     class_reps: list[int],
 ) -> np.ndarray:
-    """The :func:`entropy_scan` grid, one row per beta: beta, entropy,
-    max_entropy, deficit, spread, then f at each vertex-class representative.
+    """Walk entropy at beta_min, beta_min+step, ..., <= beta_max, one row
+    per beta: beta, entropy, max_entropy, deficit, spread, then f at each
+    vertex-class representative.
 
-    Every cell is bitwise the field of the matching report (f is
+    The whole grid is evaluated in one array pass.  Every cell is bitwise
+    the field of the :func:`walk_entropy` report at its beta (f is
     ``probabilities[class_reps] * trace``), but no report is built.
     """
     betas = _scan_betas(beta_min, beta_max, step)
@@ -183,24 +156,13 @@ def _scan_table(
 
 
 def _csv_lines(table: np.ndarray, class_reps: list[int]) -> list[str]:
-    """Header and one ``%.12g`` row per row of a scan table."""
+    """Header and one ``%.12g`` row per row of a scan table.
+
+    Column order is fixed: beta, entropy, max_entropy, deficit, spread,
+    then one centrality column per vertex-class representative.
+    """
     header = "beta,entropy,max_entropy,deficit,spread" + "".join(
         f",f_v{r}" for r in class_reps
     )
     row = ",".join(["%.12g"] * table.shape[1])
     return [header] + [row % tuple(cells) for cells in table.tolist()]
-
-
-def scan_csv_lines(reports: list[EntropyReport], class_reps: list[int]) -> list[str]:
-    """CSV rows for a scan, 12 significant digits.
-
-    Column order is fixed: beta, entropy, max_entropy, deficit, spread,
-    then one centrality column per vertex-class representative.
-    """
-    rows = [
-        [r.beta, r.entropy, r.max_entropy, r.deficit, r.spread]
-        + (r.probabilities[class_reps] * r.trace).tolist()
-        for r in reports
-    ]
-    table = np.array(rows, dtype=float).reshape(len(rows), 5 + len(class_reps))
-    return _csv_lines(table, class_reps)

@@ -8,8 +8,9 @@ evaluated from the symmetric eigendecomposition as
 where w[i, k] is the squared i-th component of the k-th orthonormal
 eigenvector (so the weights are non-negative by construction and each row
 sums to 1).  Eigenvalues are also clustered into numerically distinct
-values, giving the grouped weights a[i, j] = sum of w[i, k] over cluster j;
-the grouped form drives the beta -> infinity dominance analysis.
+values, giving the grouped weights a[i, j] = sum of w[i, k] over cluster j.
+Their column sums are the multiplicities, and the difference of two rows
+holds the coefficients of f[i] - f[k] as a sum over distinct eigenvalues.
 """
 
 from __future__ import annotations

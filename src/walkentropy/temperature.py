@@ -16,11 +16,8 @@ Two details guard the endpoints.  As beta -> 0+ every difference tends to
 walk count of the pair (one sort of the class profiles in tuple order
 gives every pair's sign), and a grid node whose difference is round-off
 repeats the last resolved sign; beta = 0 itself is excluded, every graph
-being trivially maximal there.  As beta -> infinity the class whose
-grouped-weight vector is lexicographically largest (over distinct
-eigenvalues, descending) dominates; :func:`dominance` reports that class
-and a horizon beta beyond which its lead is certified by a remainder
-bound, so no roots exist past it.
+being trivially maximal there.  The scan covers (0, beta_max] only: a
+root beyond beta_max is not looked for.
 
 Maximality at beta = 1 is a theorem, not an open conjecture: it holds
 exactly for walk-regular graphs (see :func:`verify_counterexample`).
@@ -55,15 +52,11 @@ __all__ = [
     "CROSSING_SPREAD_TOL",
     "BRACKET_WIDTH",
     "CoarseGridWarning",
-    "IndistinguishableClassesError",
     "CrossingReport",
     "PairwiseCrossing",
     "CrossingScan",
-    "DominanceReport",
     "CounterexampleReport",
-    "class_difference",
     "find_crossings",
-    "dominance",
     "verify_counterexample",
 ]
 
@@ -89,10 +82,6 @@ SIGN_FLOOR = 1e-13
 
 class CoarseGridWarning(UserWarning):
     """A sign change was found only by the sub-grid refinement pass."""
-
-
-class IndistinguishableClassesError(ValueError):
-    """Two distinct vertex classes have equal grouped weights within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -161,15 +150,6 @@ class CrossingScan:
 
 
 @dataclass(frozen=True)
-class DominanceReport:
-    """Asymptotically dominant vertex class and a certified horizon."""
-
-    leading_class: int  # index into the class partition
-    representative: int  # vertex representing the leading class
-    beta_horizon: float  # beyond this beta the leading class strictly leads
-
-
-@dataclass(frozen=True)
 class CounterexampleReport:
     """Combined diagnostic for the 'maximal entropy without walk-regularity' test.
 
@@ -197,14 +177,6 @@ class CounterexampleReport:
             "crossing_bound": self.crossing_bound,
             "within_crossing_bound": self.within_crossing_bound,
         }
-
-
-def class_difference(
-    d: SpectralDecomposition, i: int, j: int, beta: float
-) -> float:
-    """f_i(beta) - f_j(beta) for two vertices (typically class representatives)."""
-    w = d.weights[i] - d.weights[j]
-    return float(w @ exp_eigenvalues(d, beta))
 
 
 def _profile_ranks(table: ExactWalkTable, reps: Sequence[int]) -> np.ndarray:
@@ -307,11 +279,11 @@ def _scan(
     (not at all when the graph is walk-regular).  Warnings point at the
     caller of the public function.
     """
-    _check_finite(beta_max=beta_max, grid_step=grid_step)
-    if beta_max <= 0:
-        raise ValueError(f"beta_max must be positive, got {beta_max}")
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    limits = {"beta_max": beta_max, "grid_step": grid_step, "spread_tol": spread_tol}
+    _check_finite(**limits)
+    for name, value in limits.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
     table = closed_walk_table(g, _certified_length(g))
     verdict = _verdict(table)
@@ -404,103 +376,9 @@ def find_crossings(
     width <= 1e-12, and bisected roots where the remaining classes do not
     agree are reported separately as pairwise-only crossings.  Roots the
     main grid missed but the refinement pass caught are accompanied by a
-    :class:`CoarseGridWarning`.
+    :class:`CoarseGridWarning`.  ``spread_tol`` must be finite and > 0.
     """
     return _scan(g, beta_max, grid_step, spread_tol)[1]
-
-
-def _lex_compare(x: np.ndarray, y: np.ndarray, tol: float) -> int:
-    """Lexicographic comparison treating entries within ``tol`` as equal."""
-    for a, b in zip(x, y):
-        if abs(a - b) > tol:
-            return 1 if a > b else -1
-    return 0
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    if values.size == 0:
-        return -math.inf
-    m = float(values.max())
-    return m + math.log(float(np.exp(values - m).sum()))
-
-
-def _log_centrality(row: np.ndarray, lam_hat: np.ndarray, beta: float) -> float:
-    mask = row > 0.0
-    return _logsumexp(np.log(row[mask]) + beta * lam_hat[mask])
-
-
-def _certified_lead(
-    lead_row: np.ndarray,
-    other_row: np.ndarray,
-    lam_hat: np.ndarray,
-    beta: float,
-    tol: float,
-) -> bool:
-    """Leader strictly ahead at beta, with the tail unable to overturn the gap."""
-    delta = lead_row - other_row
-    over = np.nonzero(np.abs(delta) > tol)[0]
-    if over.size == 0:
-        raise IndistinguishableClassesError(
-            "grouped weights coincide within tolerance"
-        )
-    j0 = int(over[0])
-    gap_log = math.log(delta[j0]) + beta * lam_hat[j0]
-    tail = delta[j0 + 1 :]
-    nz = np.nonzero(tail != 0.0)[0] + j0 + 1
-    tail_log = _logsumexp(np.log(np.abs(delta[nz])) + beta * lam_hat[nz])
-    if gap_log <= tail_log:
-        return False
-    return _log_centrality(lead_row, lam_hat, beta) > _log_centrality(
-        other_row, lam_hat, beta
-    )
-
-
-def dominance(
-    d: SpectralDecomposition,
-    classes: Sequence[Sequence[int]],
-    tol: float = 1e-10,
-) -> DominanceReport:
-    """Identify the class whose centrality dominates as beta -> infinity.
-
-    Grouped-weight rows (over distinct eigenvalues, descending) are compared
-    lexicographically; the largest row wins because its first differing
-    coefficient multiplies the fastest-growing exponential.  The horizon
-    doubles geometrically from 1 until, for every other class, the leader
-    is strictly ahead and the first differing term alone exceeds the sum of
-    all later terms (checked in log space, so no overflow).
-
-    Raises :class:`IndistinguishableClassesError` when two distinct classes
-    have grouped weights equal within ``tol``: genuinely distinct classes
-    always differ, so this flags a clustering-tolerance problem.
-    """
-    reps = [c[0] for c in classes]
-    if not reps:
-        raise ValueError("need at least one vertex class")
-    rows = d.grouped_weights[reps]
-    lead = 0
-    for c in range(1, len(reps)):
-        cmp = _lex_compare(rows[c], rows[lead], tol)
-        if cmp == 0:
-            raise IndistinguishableClassesError(
-                f"classes with representatives {reps[c]} and {reps[lead]} are "
-                f"indistinguishable at spectral tolerance {tol:g}"
-            )
-        if cmp > 0:
-            lead = c
-    if len(reps) == 1:
-        return DominanceReport(0, reps[0], 0.0)
-
-    lam_hat = d.distinct_eigenvalues
-    beta = 1.0
-    while not all(
-        _certified_lead(rows[lead], rows[c], lam_hat, beta, tol)
-        for c in range(len(reps))
-        if c != lead
-    ):
-        beta *= 2.0
-        if beta > 2.0**60:
-            raise RuntimeError("dominance horizon search did not terminate")
-    return DominanceReport(lead, reps[lead], beta)
 
 
 def verify_counterexample(

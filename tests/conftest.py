@@ -115,6 +115,15 @@ def zero_plus_sign(profiles: tuple[tuple[int, ...], ...], i: int, j: int) -> int
     return 1 if x > y else -1
 
 
+def class_difference(d: SpectralDecomposition, i: int, j: int, beta: float) -> float:
+    """f_i(beta) - f_j(beta) from the spectral weights at one beta.
+
+    The reference for the sign regimes of a class pair: one gemv of the
+    weight difference with ``exp(beta * lambda)``.
+    """
+    return float((d.weights[i] - d.weights[j]) @ exp_eigenvalues(d, beta))
+
+
 def all_pairs_scan(
     g: Graph, beta_max: float = 10.0, grid_step: float = 0.01
 ) -> tuple[CrossingScan, dict]:

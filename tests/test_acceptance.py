@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import DEEP_PAIR_TREE, taylor_diagonal_oracle, taylor_required_terms
-from walkentropy.entropy import MAXIMALITY_TOL, is_entropy_maximal, walk_entropy
+from walkentropy.entropy import MAXIMALITY_TOL, walk_entropy
 from walkentropy.graphs import (
     complete_graph,
     cycle_graph,
@@ -76,7 +76,7 @@ def test_criterion_3_crossing_temperatures():
     d = eigendecompose(g)
     for c in scan.crossings:
         assert c.bracket[1] - c.bracket[0] <= 1e-12
-        assert is_entropy_maximal(d, c.beta_star, tol=1e-8)
+        assert walk_entropy(d, c.beta_star, tol=1e-8).is_maximal
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(

@@ -1,4 +1,4 @@
-"""Walk entropy, the maximality predicate, and the scan serialization."""
+"""Walk entropy, the maximality predicate, the scan grid and its CSV rows."""
 
 import contextlib
 import io
@@ -25,11 +25,10 @@ from conftest import (
 from walkentropy.cli import main
 from walkentropy.entropy import (
     MAXIMALITY_TOL,
+    _csv_lines,
+    _scan_table,
     entropy_from_diagonal,
-    entropy_scan,
-    is_entropy_maximal,
     relative_spread,
-    scan_csv_lines,
     walk_entropy,
 )
 from walkentropy.graphs import (
@@ -115,12 +114,12 @@ class TestWalkEntropy:
 class TestIsEntropyMaximal:
     def test_h4_at_crossing(self):
         d = eigendecompose(hm_graph(4))
-        assert is_entropy_maximal(d, H4_ROOTS[0], tol=1e-8)
-        assert is_entropy_maximal(d, H4_ROOTS[1], tol=1e-8)
+        assert walk_entropy(d, H4_ROOTS[0], tol=1e-8).is_maximal
+        assert walk_entropy(d, H4_ROOTS[1], tol=1e-8).is_maximal
 
     def test_h4_at_beta_one(self):
         d = eigendecompose(hm_graph(4))
-        assert not is_entropy_maximal(d, 1.0)
+        assert not walk_entropy(d, 1.0).is_maximal
         cd = centrality_diagonal(d, 1.0)
         assert cd.values.max() - cd.values.min() == pytest.approx(0.6937, abs=1e-3)
 
@@ -128,7 +127,7 @@ class TestIsEntropyMaximal:
         for n in (2, 4, 7):
             d = eigendecompose(complete_graph(n))
             for beta in SAMPLED_BETAS:
-                assert is_entropy_maximal(d, beta)
+                assert walk_entropy(d, beta).is_maximal
 
     def test_spread_criterion_not_entropy_value(self):
         # decided on the diagonal spread: a spread just above tolerance must
@@ -140,54 +139,72 @@ class TestIsEntropyMaximal:
         assert report.deficit < 1e-9
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_entropy_maximal(eigendecompose(complete_graph(3)), 1.0, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive, got 0.0"):
+            walk_entropy(eigendecompose(complete_graph(3)), 1.0, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.nan, "tol must be finite, got nan"),
+            (math.inf, "tol must be finite, got inf"),
+            (-1.0, "tol must be positive, got -1.0"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, tol, message):
+        d = eigendecompose(complete_graph(4))
+        with pytest.raises(ValueError, match=message):
+            walk_entropy(d, 1.0, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            entropy_from_diagonal(centrality_diagonal(d, 1.0), tol)
+
+
+# scan-table columns
+BETA, ENTROPY, DEFICIT, SPREAD = 0, 1, 3, 4
 
 
 class TestEntropyScan:
     def test_h4_deficit_dips_only_near_roots(self):
         d = eigendecompose(hm_graph(4))
-        reports = entropy_scan(d, 0.0, 3.0, 0.01)
-        assert len(reports) == 301
-        for report in reports:
-            near_root = min(abs(report.beta - r) for r in H4_ROOTS) <= 0.02
-            if report.beta == 0.0 or near_root:
+        table = _scan_table(d, 0.0, 3.0, 0.01, [0, 4])
+        assert table.shape == (301, 7)
+        for beta, deficit in table[:, [BETA, DEFICIT]].tolist():
+            near_root = min(abs(beta - r) for r in H4_ROOTS) <= 0.02
+            if beta == 0.0 or near_root:
                 continue
             # smallest deficit away from the roots is ~1.7e-10 (at beta=0.01)
-            assert report.deficit > 5e-11
+            assert deficit > 5e-11
         for root in H4_ROOTS:
-            nearest = min(reports, key=lambda r: abs(r.beta - root))
-            assert nearest.deficit < 1e-6
+            nearest = np.argmin(np.abs(table[:, BETA] - root))
+            assert table[nearest, DEFICIT] < 1e-6
 
     def test_k2_flat_scan(self):
-        reports = entropy_scan(eigendecompose(complete_graph(2)), 0.0, 1.0, 0.5)
-        assert [r.beta for r in reports] == [0.0, 0.5, 1.0]
-        for r in reports:
-            assert r.entropy == pytest.approx(math.log(2), abs=1e-12)
+        table = _scan_table(eigendecompose(complete_graph(2)), 0.0, 1.0, 0.5, [0])
+        assert table[:, BETA].tolist() == [0.0, 0.5, 1.0]
+        for entropy in table[:, ENTROPY].tolist():
+            assert entropy == pytest.approx(math.log(2), abs=1e-12)
 
     def test_degenerate_range_single_report(self):
-        reports = entropy_scan(eigendecompose(complete_graph(3)), 0.5, 0.5, 1.0)
-        assert len(reports) == 1
-        assert reports[0].beta == 0.5
+        table = _scan_table(eigendecompose(complete_graph(3)), 0.5, 0.5, 1.0, [0])
+        assert table[:, BETA].tolist() == [0.5]
 
     def test_invalid_ranges(self):
         d = eigendecompose(complete_graph(3))
         with pytest.raises(ValueError):
-            entropy_scan(d, -1.0, 2.0, 0.1)
+            _scan_table(d, -1.0, 2.0, 0.1, [0])
         with pytest.raises(ValueError):
-            entropy_scan(d, 2.0, 1.0, 0.1)
+            _scan_table(d, 2.0, 1.0, 0.1, [0])
         with pytest.raises(ValueError):
-            entropy_scan(d, 0.0, 1.0, 0.0)
+            _scan_table(d, 0.0, 1.0, 0.0, [0])
 
     def test_infinite_beta_max_rejected(self):
         d = eigendecompose(complete_graph(3))
         with pytest.raises(ValueError, match="beta_max must be finite, got inf"):
-            entropy_scan(d, 0.0, math.inf, 0.01)
+            _scan_table(d, 0.0, math.inf, 0.01, [0])
 
     def test_overflow_names_the_offending_beta(self):
         d = eigendecompose(hm_graph(4))
         with pytest.raises(CentralityOverflowError, match="beta=199"):
-            entropy_scan(d, 199.0, 201.0, 1.0)
+            _scan_table(d, 199.0, 201.0, 1.0, [0, 4])
 
 
 class TestTraceOverflow:
@@ -203,13 +220,14 @@ class TestTraceOverflow:
     def test_scan_names_the_first_overflowing_trace(self):
         d = eigendecompose(parse_edge_list(TWO_K4))
         with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.4$"):
-            entropy_scan(d, 236.0, 237.0, 0.1)
+            _scan_table(d, 236.0, 237.0, 0.1, [0, 4])
 
     def test_values_below_the_overflow_are_finite(self):
         d = eigendecompose(parse_edge_list(TWO_K4))
-        for r in entropy_scan(d, 236.0, 236.3, 0.1):
-            assert math.isfinite(r.entropy) and math.isfinite(r.spread)
-            assert np.isfinite(r.centrality_values()).all()
+        # every vertex a column: f at all of them, beside entropy and spread
+        table = _scan_table(d, 236.0, 236.3, 0.1, list(range(8)))
+        assert table.shape == (4, 13)
+        assert np.isfinite(table).all()
 
 
 def _count_calls(monkeypatch, targets) -> Counter:
@@ -238,8 +256,8 @@ class TestScanWorkCounts:
             (walkentropy.entropy, "walk_entropy"),
             (walkentropy.entropy, "_centrality_rows"),
         ))
-        reports = entropy_scan(eigendecompose(hm_graph(4)), 0.0, 4.0, 0.001)
-        assert len(reports) == 4001
+        table = _scan_table(eigendecompose(hm_graph(4)), 0.0, 4.0, 0.001, [0, 4])
+        assert table.shape[0] == 4001
         assert counts == {"_centrality_rows": 1}
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
@@ -258,6 +276,12 @@ class TestScanWorkCounts:
 
 def _fields(r):
     return (r.beta, r.entropy, r.max_entropy, r.deficit, r.trace, r.spread, r.is_maximal)
+
+
+def _table_row(r, reps) -> list[float]:
+    """The scan-table row of report ``r``: its fields, then f at ``reps``."""
+    head = [r.beta, r.entropy, r.max_entropy, r.deficit, r.spread]
+    return head + (r.probabilities[reps] * r.trace).tolist()
 
 
 def _cli_stdout(g, *argv) -> str:
@@ -283,18 +307,18 @@ class TestBatchedScanIsPerPoint:
         d = eigendecompose(g)
         # stay below the overflow of the trace, log n + beta * lambda_max
         beta_max = min(beta_min + steps * step, 700.0 / max(1.0, float(d.eigenvalues[0])))
-        reports = entropy_scan(d, beta_min, beta_max, step)
-        oracle = per_point_scan(d, beta_min, beta_max, step, MAXIMALITY_TOL)
-        assert len(reports) == len(oracle)
-        for r, o in zip(reports, oracle):
-            w, cd = walk_entropy(d, r.beta), centrality_diagonal(d, r.beta)
-            assert _fields(r) == _fields(o) == _fields(w)
-            assert np.array_equal(r.probabilities, o.probabilities)
-            assert np.array_equal(r.probabilities, w.probabilities)
-            assert r.trace == cd.trace
-            assert np.array_equal(r.probabilities, cd.values / cd.trace)
-
         reps = [c[0] for c in vertex_classes(g)]
+        rows = _scan_table(d, beta_min, beta_max, step, reps).tolist()
+        oracle = per_point_scan(d, beta_min, beta_max, step, MAXIMALITY_TOL)
+        assert len(rows) == len(oracle)
+        for row, o in zip(rows, oracle):
+            w, cd = walk_entropy(d, o.beta), centrality_diagonal(d, o.beta)
+            assert row == _table_row(o, reps) == _table_row(w, reps)
+            assert _fields(o) == _fields(w)
+            assert np.array_equal(o.probabilities, w.probabilities)
+            assert w.trace == cd.trace
+            assert np.array_equal(w.probabilities, cd.values / cd.trace)
+
         grid = ("--beta-min", repr(beta_min), "--beta-max", repr(beta_max), "--step", repr(step))
         assert _cli_stdout(g, *grid, "--format", "csv") == per_point_scan_csv(oracle, reps)
         assert _cli_stdout(g, *grid, "--format", "json") == per_point_scan_json(oracle, reps)
@@ -313,7 +337,7 @@ class TestScanCsv:
         g = hm_graph(4)
         d = eigendecompose(g)
         reps = [c[0] for c in vertex_classes(g)]
-        lines = scan_csv_lines(entropy_scan(d, 0.0, 0.02, 0.01), reps)
+        lines = _csv_lines(_scan_table(d, 0.0, 0.02, 0.01, reps), reps)
         assert lines[0] == "beta,entropy,max_entropy,deficit,spread,f_v0,f_v4"
         assert len(lines) == 4
         row = lines[2].split(",")
@@ -325,7 +349,7 @@ class TestScanCsv:
         g = star_graph(3)
         d = eigendecompose(g)
         reps = [c[0] for c in vertex_classes(g)]
-        lines = scan_csv_lines(entropy_scan(d, 0.0, 1.0, 0.25), reps)
+        lines = _csv_lines(_scan_table(d, 0.0, 1.0, 0.25, reps), reps)
         for line in lines[1:]:
             cells = [float(c) for c in line.split(",")]
             assert len(cells) == 5 + len(reps)

@@ -1,0 +1,85 @@
+"""The frozen public surface: CLI stdout bytes, exit codes and exported names.
+
+``tests/data/cli_golden/cases.json`` lists each argv (with its stdin, if
+any) and its exit code; ``<name>.out`` beside it holds the stdout it
+printed when the set was recorded.  A change to any of these bytes is a
+deliberate contract change: record the new output together with the
+change that makes it, never to get a test green.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import walkentropy
+from walkentropy.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+PUBLIC_API = [
+    "BRACKET_WIDTH",
+    "CROSSING_SPREAD_TOL",
+    "CentralityDiagonal",
+    "CentralityOverflowError",
+    "CoarseGridWarning",
+    "CounterexampleReport",
+    "CrossingReport",
+    "CrossingScan",
+    "DegreeSummary",
+    "EdgeListError",
+    "EigendecompositionError",
+    "EntropyReport",
+    "ExactWalkTable",
+    "Graph",
+    "MAXIMALITY_TOL",
+    "PairwiseCrossing",
+    "SpectralDecomposition",
+    "WalkRegularityVerdict",
+    "WalkRegularityWitness",
+    "__version__",
+    "centrality_diagonal",
+    "closed_walk_table",
+    "complete_graph",
+    "cycle_graph",
+    "degree_summary",
+    "eigendecompose",
+    "entropy_from_diagonal",
+    "exp_eigenvalues",
+    "find_crossings",
+    "hm_graph",
+    "is_walk_regular",
+    "parse_edge_list",
+    "path_graph",
+    "petersen_graph",
+    "relative_spread",
+    "serialize_edge_list",
+    "star_graph",
+    "verify_counterexample",
+    "vertex_classes",
+    "walk_entropy",
+]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_cli_bytes_match_the_recorded_output(capsys, monkeypatch, case):
+    if case["stdin"] is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(case["stdin"]))
+    code = main(case["argv"])
+    expected = (GOLDEN / f"{case['name']}.out").read_bytes().decode()
+    assert (code, capsys.readouterr().out) == (case["exit"], expected)
+
+
+@pytest.mark.parametrize("command", ["find-crossings", "scan"])
+def test_grid_too_large_for_memory_is_a_computation_error(capsys, command):
+    # numpy refuses the 72.8 TiB grid before touching any memory
+    code = main([command, "--hm", "4", "--step", "1e-12"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("computation error: ")
+
+
+def test_public_api_is_pinned():
+    assert sorted(walkentropy.__all__) == PUBLIC_API

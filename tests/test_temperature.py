@@ -1,4 +1,4 @@
-"""Crossing location, asymptotic dominance, and the counterexample report."""
+"""Crossing location, class-difference signs, and the counterexample report."""
 
 import math
 import tracemalloc
@@ -17,6 +17,7 @@ from conftest import (
     DEEP_PAIR_TREE,
     all_pairs_scan,
     bigint_closed_walk_table,
+    class_difference,
     zero_plus_sign,
 )
 from walkentropy.entropy import walk_entropy
@@ -24,12 +25,9 @@ from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star
 from walkentropy.spectral import eigendecompose
 from walkentropy.temperature import (
     CoarseGridWarning,
-    IndistinguishableClassesError,
     _profile_ranks,
     _resolved_signs,
     _scan_pair,
-    class_difference,
-    dominance,
     find_crossings,
     verify_counterexample,
 )
@@ -162,6 +160,19 @@ class TestFindCrossings:
             find_crossings(g, beta_max=0.0)
         with pytest.raises(ValueError):
             find_crossings(g, grid_step=-0.1)
+
+    @pytest.mark.parametrize(
+        "spread_tol, message",
+        [
+            (math.nan, "spread_tol must be finite, got nan"),
+            (math.inf, "spread_tol must be finite, got inf"),
+            (-1.0, "spread_tol must be positive, got -1.0"),
+            (0.0, "spread_tol must be positive, got 0.0"),
+        ],
+    )
+    def test_spread_tol_must_be_finite_and_positive(self, spread_tol, message):
+        with pytest.raises(ValueError, match=message):
+            find_crossings(hm_graph(4), spread_tol=spread_tol)
 
     @pytest.mark.parametrize("run", [find_crossings, verify_counterexample])
     @pytest.mark.parametrize("arg", ["beta_max", "grid_step"])
@@ -357,48 +368,27 @@ class TestIdlePairScreen:
 
 
 class TestDominance:
+    """The class that leads at large beta, checked at fixed beta >= 16."""
+
+    LARGE_BETAS = (16.0, 32.0, 64.0)
+
     def test_h4_hub_class_leads(self):
         g = hm_graph(4)
         d = eigendecompose(g)
-        classes = vertex_classes(g)
-        report = dominance(d, classes)
-        assert report.leading_class == 0
-        assert report.representative == 0
-        assert 0.0 < report.beta_horizon <= 16.0
-        # sampled consistency at 1x, 2x, 4x the horizon
-        for scale in (1.0, 2.0, 4.0):
-            diff = class_difference(d, 0, 4, scale * report.beta_horizon)
-            assert diff > 0.0
-
-    def test_complete_graph_single_class(self):
-        g = complete_graph(6)
-        report = dominance(eigendecompose(g), vertex_classes(g))
-        assert report.leading_class == 0
-        assert report.beta_horizon == 0.0
+        assert [c[0] for c in vertex_classes(g)] == [0, 4]  # hub, clique
+        for beta in self.LARGE_BETAS:
+            assert class_difference(d, 0, 4, beta) > 0.0
 
     def test_path_center_leads(self):
         # Perron-Frobenius weight is largest at the center
-        g = path_graph(3)
-        report = dominance(eigendecompose(g), vertex_classes(g))
-        assert report.representative == 1
-        d = eigendecompose(g)
-        for scale in (1.0, 2.0, 4.0):
-            beta = scale * report.beta_horizon
+        d = eigendecompose(path_graph(3))
+        for beta in self.LARGE_BETAS:
             assert class_difference(d, 1, 0, beta) > 0.0
 
     def test_star_center_leads(self):
-        g = star_graph(4)
-        report = dominance(eigendecompose(g), vertex_classes(g))
-        assert report.representative == 0
-
-    def test_indistinguishable_tolerance_flagged(self):
-        g = hm_graph(4)
-        with pytest.raises(IndistinguishableClassesError):
-            dominance(eigendecompose(g), vertex_classes(g), tol=1.0)
-
-    def test_empty_classes_rejected(self):
-        with pytest.raises(ValueError):
-            dominance(eigendecompose(complete_graph(2)), [])
+        d = eigendecompose(star_graph(4))
+        for beta in self.LARGE_BETAS:
+            assert class_difference(d, 0, 1, beta) > 0.0
 
 
 class TestVerifyCounterexample:
