@@ -13,7 +13,9 @@ hub-matching graph in-process.  All numerical work lives in the library;
 this module only parses flags, dispatches, and formats.
 
 Exit status: 0 success, 1 usage or input error, 2 computation error
-(overflow, eigensolver failure, a grid too large for memory).  Output is
+(overflow, eigensolver failure, a grid too large for memory), 141 (128 +
+SIGPIPE) when the reader closes stdout before the output is written, with
+nothing on stderr.  Output is
 deterministic: machine formats carry 12 significant digits, human output 6;
 warnings go to stderr.  CSV
 values are ``'%.12g' % x`` and human values ``'%.6g' % x``; a JSON number
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -140,11 +143,11 @@ def _cmd_gen_hm(args) -> int:
 
 
 def _cmd_check_walk_regular(args) -> int:
+    _reject_csv(args)
     verdict = is_walk_regular(_load_graph(args))
     if args.format == "json":
         _print_json(verdict.as_dict())
         return 0
-    _reject_csv(args)
     _print_verdict(verdict)
     reps = ", ".join(str(c[0]) for c in verdict.classes)
     print(f"classes: {len(verdict.classes)} (representatives: {reps})")
@@ -255,13 +258,13 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_find_crossings(args) -> int:
+    _reject_csv(args)
     g = _load_graph(args)
     tol = args.tol if args.tol is not None else CROSSING_SPREAD_TOL
     scan = find_crossings(g, args.beta_max, args.step, tol)
     if args.format == "json":
         _print_json(scan.as_dict())
         return 0
-    _reject_csv(args)
     if scan.walk_regular:
         print("walk-regular: true (entropy maximal for every beta >= 0)")
         return 0
@@ -283,11 +286,11 @@ def _cmd_find_crossings(args) -> int:
 
 
 def _cmd_verify_counterexample(args) -> int:
+    _reject_csv(args)
     report = verify_counterexample(_load_graph(args), args.beta_max, args.step)
     if args.format == "json":
         _print_json(report.as_dict())
         return 0
-    _reject_csv(args)
     _print_verdict(report.verdict)
     hist = ", ".join(f"{d}: {c}" for d, c in sorted(report.degree_histogram.items()))
     print(f"degree histogram: {{{hist}}}")
@@ -388,13 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _COMPUTATION_ERRORS as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:  # EdgeListError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            code = args.func(args)
+        except _COMPUTATION_ERRORS as exc:
+            print(f"computation error: {exc}", file=sys.stderr)
+            code = 2
+        except (UsageError, ValueError) as exc:  # EdgeListError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end as a writer killed by SIGPIPE would,
+        # silently; what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return code
 
 
 if __name__ == "__main__":

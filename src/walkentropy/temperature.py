@@ -8,8 +8,12 @@ qualifies as a maximal-entropy temperature only if the *full* diagonal
 spread vanishes at it, not just the bisected pair.  A pair whose
 difference keeps its 0+ sign at every node beta > 0, never within
 ``REFINE_TRIGGER`` of the mean centrality, is idle: it can open no
-bracket and start no refinement, so one array pass per class screens it
-out before the per-pair scan.
+bracket and start no refinement, so it is screened out before the
+per-pair scan.  The screen sorts the classes in 0+ order and keeps one
+running maximum over them.  A rounded difference x - y never increases
+as y grows, so a class whose rounded lead over the running maximum below
+it clears the trigger at every node has no busy pair with any class
+below it, exactly; only the other classes are compared pair by pair.
 
 Two details guard the endpoints.  As beta -> 0+ every difference tends to
 0 (exp(0) = I), so the sign at 0+ comes from the first differing exact
@@ -270,6 +274,43 @@ def _scan_pair(
     return candidates, notes
 
 
+def _busy_pairs(
+    f: np.ndarray, rank: np.ndarray, trigger: np.ndarray
+) -> list[tuple[int, int]]:
+    """The class pairs (a, b), a < b, that are not idle, in that order.
+
+    ``f`` holds each class's values at the grid nodes beta > 0 (grid x
+    classes) and ``trigger`` the refinement trigger at each node (grid x 1).
+    A pair is idle when its difference, oriented by the 0+ sign, is at or
+    above the trigger at every node: every node then resolves to the 0+
+    sign and none is near zero, so :func:`_scan_pair` would return
+    ``([], [])``.  In 0+ order (ascending ``rank``) the oriented difference
+    of classes i < j is fl(f_j - f_i), and fl(x - y) never increases as y
+    grows, so its minimum over i < j is fl(f_j - max_{i<j} f_i) bit for bit.
+    One running maximum thus clears every class whose pairs with all
+    classes below it are idle; only the others are compared with each
+    class below them, one class column at a time.
+    """
+    # the inverse permutation of rank, by scatter: a first np.argsort call
+    # pages in about 0.3 MB of numpy's sort kernels
+    order = np.empty_like(rank)
+    order[rank] = np.arange(rank.size)
+    f = f[:, order]
+    gap = np.maximum.accumulate(f[:, :-1], axis=1)
+    np.subtract(f[:, 1:], gap, out=gap)
+    clear = (gap >= trigger).all(axis=0)
+    busy = []
+    for j in (np.nonzero(~clear)[0] + 1).tolist():
+        # gap's first j columns are free again: reuse them, allocate nothing
+        np.subtract(f[:, j : j + 1], f[:, :j], out=gap[:, :j])
+        idle = (gap[:, :j] >= trigger).all(axis=0)
+        hi = int(order[j])
+        for lo in order[np.nonzero(~idle)[0]].tolist():
+            busy.append((lo, hi) if lo < hi else (hi, lo))
+    busy.sort()
+    return busy
+
+
 def _scan(
     g: Graph, beta_max: float, grid_step: float, spread_tol: float
 ) -> tuple[WalkRegularityVerdict, CrossingScan]:
@@ -304,31 +345,26 @@ def _scan(
     np.exp(exps, out=exps)
     f_reps = exps @ d.weights[reps].T  # (grid, classes)
     mean_f = exps.sum(axis=1) / g.n  # trace / n on the grid
+    del exps  # freed before the screen allocates its own (grid, classes) arrays
 
     rank = _profile_ranks(table, reps)
     trigger = REFINE_TRIGGER * mean_f[1:, None]
 
     candidates: list[tuple[float, float, float, tuple[int, int]]] = []
     notes: list[str] = []
-    for a in range(len(reps)):
-        first = np.where(rank[a] > rank[a + 1 :], 1, -1)
-        # idle: the 0+ sign holds at every node beta > 0, never within the
-        # refinement trigger, so _scan_pair would return ([], [])
-        oriented = first * (f_reps[1:, a : a + 1] - f_reps[1:, a + 1 :])
-        idle = (oriented >= trigger).all(axis=0)
-        for b in np.nonzero(~idle)[0] + a + 1:
-            pair = (reps[a], reps[b])
-            cand, pair_notes = _scan_pair(
-                d,
-                betas,
-                f_reps[:, a] - f_reps[:, b],
-                mean_f,
-                int(first[b - a - 1]),
-                grid_step,
-                pair,
-            )
-            candidates.extend(cand)
-            notes.extend(pair_notes)
+    for a, b in _busy_pairs(f_reps[1:], rank, trigger):
+        pair = (reps[a], reps[b])
+        cand, pair_notes = _scan_pair(
+            d,
+            betas,
+            f_reps[:, a] - f_reps[:, b],
+            mean_f,
+            1 if rank[a] > rank[b] else -1,
+            grid_step,
+            pair,
+        )
+        candidates.extend(cand)
+        notes.extend(pair_notes)
 
     for note in notes:
         warnings.warn(note, CoarseGridWarning, stacklevel=3)

@@ -393,6 +393,53 @@ def test_tol_only_on_commands_it_acts_on(capsys, command):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("check-walk-regular", ()),
+        # both would fail in the computation: a 72.8 TiB grid, exp overflow
+        ("find-crossings", ("--step", "1e-12")),
+        ("verify-counterexample", ("--beta-max", "800")),
+    ],
+)
+def test_csv_is_rejected_before_any_work(capsys, monkeypatch, command, extra):
+    def no_input(args):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(cli, "_load_graph", no_input)
+    code, out, err = run(capsys, command, "--hm", "4", *extra, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == f"error: csv output is not supported for {command}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-hm", "4"),
+        ("check-walk-regular", "--hm", "4"),
+        ("entropy", "--hm", "4", "--beta", "1", "--format", "csv"),
+        ("scan", "--hm", "4", "--beta-max", "2", "--step", "0.5", "--format", "csv"),
+        ("find-crossings", "--hm", "4", "--format", "json"),
+        ("verify-counterexample", "--hm", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_141_silently(argv):
+    # the read end is closed before the program starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(walkentropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkentropy.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 class TestToleranceDefaults:
     def test_entropy_default_decides_a_near_crossing(self, capsys):
         argv = ("entropy", "--hm", "4", "--beta", "0.499001418")

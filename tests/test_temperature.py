@@ -1,5 +1,6 @@
 """Crossing location, class-difference signs, and the counterexample report."""
 
+import itertools
 import math
 import tracemalloc
 import types
@@ -8,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import walkentropy.entropy
 import walkentropy.spectral
@@ -18,6 +21,7 @@ from conftest import (
     all_pairs_scan,
     bigint_closed_walk_table,
     class_difference,
+    graphs,
     zero_plus_sign,
 )
 from walkentropy.entropy import walk_entropy
@@ -25,6 +29,7 @@ from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star
 from walkentropy.spectral import eigendecompose
 from walkentropy.temperature import (
     CoarseGridWarning,
+    _busy_pairs,
     _profile_ranks,
     _resolved_signs,
     _scan_pair,
@@ -47,6 +52,30 @@ SCREEN_GRAPHS = {
     "HM4+isolated": Graph(25, hm_graph(4).edges),
 }
 SCREEN_GRIDS = [{}, {"beta_max": 3.0, "grid_step": 0.05}]
+
+
+@st.composite
+def screen_inputs(draw):
+    """Class values (grid x k), a 0+ rank per class and a trigger per node.
+
+    Small integers make exact ties common; some columns copy an earlier
+    column, or add the trigger to one, so pairs sit exactly at the trigger.
+    """
+    grid = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 7))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+    floor = st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 2.0))
+    trigger = np.array(draw(st.lists(floor, min_size=grid, max_size=grid)))[:, None]
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["fresh", "equal", "tie"])) if columns else "fresh"
+        if kind == "fresh":
+            columns.append(np.array(draw(st.lists(value, min_size=grid, max_size=grid))))
+        else:
+            base = columns[draw(st.integers(0, len(columns) - 1))]
+            columns.append(base.copy() if kind == "equal" else base + trigger[:, 0])
+    rank = np.array(draw(st.permutations(range(k))))
+    return np.column_stack(columns), rank, trigger
 
 
 @pytest.fixture
@@ -355,6 +384,26 @@ class TestIdlePairScreen:
     @pytest.mark.parametrize("name", SCREEN_GRAPHS)
     def test_named_graph_matches_all_pairs(self, scanned, name, grid):
         self.assert_matches_all_pairs(SCREEN_GRAPHS[name], grid, scanned)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(graphs(max_n=12))
+    def test_random_graph_matches_all_pairs(self, scanned, g):
+        self.assert_matches_all_pairs(g, {}, scanned)
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_inputs())
+    def test_busy_pairs_are_the_pairs_that_dip_below_the_trigger(self, inputs):
+        f, rank, trigger = inputs
+        expected = [
+            (a, b)
+            for a, b in itertools.combinations(range(f.shape[1]), 2)
+            if ((1 if rank[a] > rank[b] else -1) * (f[:, a] - f[:, b]) < trigger[:, 0]).any()
+        ]
+        assert _busy_pairs(f, rank, trigger) == expected
 
     def test_profile_ranks_give_the_zero_plus_sign(self, corpus):
         for g in [*corpus, *SCREEN_GRAPHS.values(), star_graph(3), path_graph(3)]:
