@@ -154,26 +154,11 @@ def _cmd_check_walk_regular(args) -> int:
     return 0
 
 
-def _entropy_report_dict(report) -> dict:
-    return {
-        "beta": report.beta,
-        "entropy": report.entropy,
-        "max_entropy": report.max_entropy,
-        "deficit": report.deficit,
-        "spread": report.spread,
-        "is_maximal": report.is_maximal,
-        "trace": report.trace,
-        "probabilities": [float(p) for p in report.probabilities],
-    }
-
-
 def _cmd_entropy(args) -> int:
     g = _load_graph(args)
-    d = eigendecompose(g)
-    tol = args.tol if args.tol is not None else MAXIMALITY_TOL
-    report = walk_entropy(d, args.beta, tol)
+    report = walk_entropy(eigendecompose(g), args.beta, args.tol)
     if args.format == "json":
-        _print_json(_entropy_report_dict(report))
+        _print_json(report.as_dict())
     elif args.format == "csv":
         reps = [c[0] for c in vertex_classes(g)]
         head = [report.beta, report.entropy, report.max_entropy, report.deficit, report.spread]
@@ -259,9 +244,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_find_crossings(args) -> int:
     _reject_csv(args)
-    g = _load_graph(args)
-    tol = args.tol if args.tol is not None else CROSSING_SPREAD_TOL
-    scan = find_crossings(g, args.beta_max, args.step, tol)
+    scan = find_crossings(_load_graph(args), args.beta_max, args.step, args.tol)
     if args.format == "json":
         _print_json(scan.as_dict())
         return 0
@@ -332,16 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="output format (default: human)",
     )
-    # no set_defaults(tol=...): commands share this action, so it would reach them all
-    tol_parent = _Parser(add_help=False)
-    tol_parent.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=None,
-        metavar="F",
-        help=f"maximality tolerance override (defaults: {MAXIMALITY_TOL:g}; "
-        f"find-crossings {CROSSING_SPREAD_TOL:g})".replace("e-0", "e-"),  # 1e-08 -> 1e-8
-    )
+
+    def tol_option(default: float) -> argparse.ArgumentParser:
+        parent = _Parser(add_help=False)  # one per command, each with its default
+        text = "largest relative spread counted as maximal (default %(default)g)"
+        parent.add_argument("--tol", type=_tolerance, default=default, metavar="F", help=text)
+        return parent
+
     grid_parent = _Parser(add_help=False)
     grid_parent.add_argument(
         "--beta-max", type=_finite, default=10.0, help="scan end (default 10)"
@@ -360,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_walk_regular)
 
     p = sub.add_parser(
-        "entropy", parents=[io_parent, tol_parent], help="walk entropy at one temperature"
+        "entropy", parents=[io_parent, tol_option(MAXIMALITY_TOL)],
+        help="walk entropy at one temperature",
     )
     p.add_argument("--beta", type=_finite, required=True, help="temperature (>= 0)")
     p.set_defaults(func=_cmd_entropy)
@@ -373,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "find-crossings",
-        parents=[io_parent, tol_parent, grid_parent],
+        parents=[io_parent, tol_option(CROSSING_SPREAD_TOL), grid_parent],
         help="all maximal-entropy temperatures in (0, beta-max]",
     )
     p.set_defaults(func=_cmd_find_crossings)

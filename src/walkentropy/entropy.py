@@ -48,6 +48,18 @@ class EntropyReport:
     def centrality_values(self) -> np.ndarray:
         return self.probabilities * self.trace
 
+    def as_dict(self) -> dict:
+        return {
+            "beta": self.beta,
+            "entropy": self.entropy,
+            "max_entropy": self.max_entropy,
+            "deficit": self.deficit,
+            "spread": self.spread,
+            "is_maximal": self.is_maximal,
+            "trace": self.trace,
+            "probabilities": self.probabilities.tolist(),
+        }
+
 
 def _check_finite(**values: float) -> None:
     """Raise ValueError naming the first argument that is nan or infinite."""
@@ -75,7 +87,8 @@ def _row_entropies(
     p = values / traces[:, None]
     # 0*log 0 := 0; cannot occur for beta >= 0 where f >= 1
     logs = np.log(np.where(p > 0.0, p, 1.0))
-    entropies = -np.multiply(p, logs, out=logs).sum(axis=1)
+    # 0.0 - s, not -s: a one-vertex graph's sum is +0, whose entropy is +0
+    entropies = 0.0 - np.multiply(p, logs, out=logs).sum(axis=1)
     return p, entropies, spreads
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +84,16 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in nbrs)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix with zero diagonal."""
+        """Dense symmetric 0/1 adjacency matrix with zero diagonal, built on
+        first use and then shared: it is read-only, so copy it to mutate."""
+        return self._adjacency
+
+    @cached_property  # unlocked from Python 3.12: a race builds equal copies
+    def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for u, v in self.edges:
             a[u, v] = a[v, u] = 1.0
+        a.flags.writeable = False
         return a
 
 

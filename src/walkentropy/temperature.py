@@ -29,14 +29,13 @@ exactly for walk-regular graphs (see :func:`verify_counterexample`).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .entropy import _check_finite, relative_spread
+from .entropy import _check_finite, _scan_betas, relative_spread
 from .graphs import Graph, degree_summary
 from .spectral import (
     SpectralDecomposition,
@@ -231,6 +230,16 @@ def _bisect_changes(
     return roots
 
 
+def _grid_values(
+    d: SpectralDecomposition, betas: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(outer(betas, lambda)) @ w and trace / n at each beta, on the main
+    grid and the refinement sub-grid alike; frees the (grid, n) exponentials."""
+    e = np.outer(betas, d.eigenvalues)
+    np.exp(e, out=e)
+    return e @ w, e.sum(axis=1) / e.shape[1]  # what e.mean(axis=1) computes
+
+
 def _scan_pair(
     d: SpectralDecomposition,
     betas: np.ndarray,
@@ -263,8 +272,8 @@ def _scan_pair(
         # grid_step when beta_max is not step-aligned, so interpolate rather
         # than assume a uniform width
         sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
-        exps = np.exp(np.outer(sub, d.eigenvalues))
-        sub_signs = _resolved_signs(exps @ wdiff, exps.mean(axis=1), int(signs[t - 1]))
+        sub_diff, sub_mean_f = _grid_values(d, sub, wdiff)
+        sub_signs = _resolved_signs(sub_diff, sub_mean_f, int(signs[t - 1]))
         for root, lo, hi in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
             candidates.append((root, lo, hi, pair))
             notes.append(
@@ -317,8 +326,10 @@ def _scan(
     """Shared body of :func:`find_crossings` and :func:`verify_counterexample`.
 
     Builds the exact walk table once and the eigendecomposition at most once
-    (not at all when the graph is walk-regular).  Warnings point at the
-    caller of the public function.
+    (not at all when the graph is walk-regular).  The certifier's own
+    ``eigvalsh`` (about 13 us at n = 14) stays: one shared ``eigh`` would
+    charge walk-regular graphs for eigenvectors the table makes needless.
+    Warnings point at the caller of the public function.
     """
     limits = {"beta_max": beta_max, "grid_step": grid_step, "spread_tol": spread_tol}
     _check_finite(**limits)
@@ -336,16 +347,10 @@ def _scan(
     exp_eigenvalues(d, beta_max)  # fail fast on overflow before scanning
     reps = [c[0] for c in classes]
 
-    steps = int(math.floor(beta_max / grid_step + 1e-9))
-    betas = grid_step * np.arange(steps + 1)
+    betas = _scan_betas(0.0, beta_max, grid_step)
     if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
         betas = np.append(betas, beta_max)
-
-    exps = np.outer(betas, d.eigenvalues)  # (grid, n)
-    np.exp(exps, out=exps)
-    f_reps = exps @ d.weights[reps].T  # (grid, classes)
-    mean_f = exps.sum(axis=1) / g.n  # trace / n on the grid
-    del exps  # freed before the screen allocates its own (grid, classes) arrays
+    f_reps, mean_f = _grid_values(d, betas, d.weights[reps].T)  # (grid, classes)
 
     rank = _profile_ranks(table, reps)
     trigger = REFINE_TRIGGER * mean_f[1:, None]

@@ -85,15 +85,7 @@ class WalkRegularityVerdict:
     def as_dict(self) -> dict:
         return {
             "walk_regular": self.is_walk_regular,
-            "witness": None
-            if self.witness is None
-            else {
-                "length": self.witness.length,
-                "u": self.witness.u,
-                "v": self.witness.v,
-                "count_u": self.witness.count_u,
-                "count_v": self.witness.count_v,
-            },
+            "witness": None if self.witness is None else self.witness._asdict(),
             "classes": [list(c) for c in self.classes],
         }
 

@@ -238,7 +238,7 @@ def per_point_report(d: SpectralDecomposition, beta: float, tol: float) -> Entro
     values, trace = d.weights @ e, float(e.sum())
     p = values / trace
     positive = p > 0.0
-    entropy = float(-(p[positive] * np.log(p[positive])).sum())
+    entropy = float(0.0 - (p[positive] * np.log(p[positive])).sum())
     max_entropy = math.log(p.shape[0])
     spread = float((values.max() - values.min()) / values.mean())
     return EntropyReport(

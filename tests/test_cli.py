@@ -145,6 +145,21 @@ class TestEntropy:
         assert "trace of exp(beta*A) overflows double precision at beta=236.45" in err
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [("entropy", "--beta", "1"), ("scan", "--beta-max", "1", "--step", "0.5")],
+    ids=lambda argv: argv[0],
+)
+def test_one_vertex_entropy_is_positive_zero(capsys, monkeypatch, argv, fmt):
+    # the entropy of the one-point distribution is 0, printed without a sign
+    monkeypatch.setattr("sys.stdin", io.StringIO("n 1\n"))
+    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "0" in out
+    assert "-0" not in out
+
+
 class TestScan:
     def test_csv_columns_for_h4(self, capsys):
         code, out, _ = run(

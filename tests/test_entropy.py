@@ -32,6 +32,7 @@ from walkentropy.entropy import (
     walk_entropy,
 )
 from walkentropy.graphs import (
+    Graph,
     complete_graph,
     hm_graph,
     parse_edge_list,
@@ -66,6 +67,12 @@ class TestWalkEntropy:
             assert report.entropy == pytest.approx(math.log(g.n), abs=1e-12)
             assert report.is_maximal
             assert report.deficit >= -1e-12
+
+    def test_one_vertex_entropy_is_positive_zero(self):
+        report = walk_entropy(eigendecompose(Graph(1, frozenset())), 1.0)
+        assert math.copysign(1.0, report.entropy) == 1.0
+        assert math.copysign(1.0, report.deficit) == 1.0
+        assert report.is_maximal
 
     def test_star_at_beta_one_below_maximum(self):
         g = star_graph(3)

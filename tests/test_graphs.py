@@ -44,6 +44,15 @@ class TestGraph:
         assert np.all(np.diag(a) == 0)
         assert a.sum() == 2 * g.num_edges
 
+    def test_adjacency_matrix_built_once_and_read_only(self):
+        g = hm_graph(3)
+        a = g.adjacency_matrix()
+        assert g.adjacency_matrix() is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 3] = 0.0
+        assert a[0, 3] == 1.0
+
 
 class TestParseEdgeList:
     def test_triangle(self):

@@ -1,5 +1,7 @@
 """Crossing location, class-difference signs, and the counterexample report."""
 
+import contextlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -24,6 +26,7 @@ from conftest import (
     graphs,
     zero_plus_sign,
 )
+from walkentropy.cli import main
 from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star_graph
 from walkentropy.spectral import eigendecompose
@@ -281,6 +284,52 @@ class TestWorkCounts:
             monkeypatch.setattr(module, name, counted)
             monkeypatch.setattr(walkentropy.temperature, name, counted)
         return counts
+
+    @pytest.fixture
+    def matrices(self, monkeypatch):
+        """Every adjacency matrix handed out, kept alive, so that the number
+        of distinct arrays is the number of builds."""
+        handed_out = []
+        real = Graph.adjacency_matrix
+
+        def recorded(g):
+            handed_out.append(real(g))
+            return handed_out[-1]
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", recorded)
+        return handed_out
+
+    @staticmethod
+    def builds(matrices) -> int:
+        return len({id(a) for a in matrices})
+
+    @pytest.mark.parametrize(
+        "graph",
+        [hm_graph(4), complete_graph(4), DEEP_PAIR_TREE],
+        ids=["HM4", "K4", "deep-pair-tree"],
+    )
+    def test_one_adjacency_build_per_report(self, matrices, graph):
+        g = Graph(graph.n, graph.edges)  # a fresh graph, no matrix yet
+        verify_counterexample(g)
+        # the certifier, the table and (unless walk-regular) eigh share it
+        assert self.builds(matrices) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-walk-regular",),
+            ("entropy", "--beta", "1"),
+            ("entropy", "--beta", "1", "--format", "csv"),
+            ("scan", "--beta-max", "1", "--step", "0.5"),
+            ("find-crossings",),
+            ("verify-counterexample",),
+        ],
+        ids=" ".join,
+    )
+    def test_one_adjacency_build_per_cli_process(self, matrices, argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--hm", "4"]) == 0
+        assert self.builds(matrices) == 1
 
     @pytest.mark.parametrize("graph", [hm_graph(4)], ids=["HM4"])
     def test_verify_counterexample(self, counts, graph):
