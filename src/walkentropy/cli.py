@@ -13,7 +13,7 @@ hub-matching graph in-process.  All numerical work lives in the library;
 this module only parses flags, dispatches, and formats.
 
 Exit status: 0 success, 1 usage or input error, 2 computation error
-(overflow, eigensolver failure, a grid too large for memory), 141 (128 +
+(overflow, eigensolver failure, a grid too large to build), 141 (128 +
 SIGPIPE) when the reader closes stdout before the output is written, with
 nothing on stderr.  Output is
 deterministic: machine formats carry 12 significant digits, human output 6;
@@ -43,7 +43,7 @@ from .spectral import (
 from .temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
 from .walks import is_walk_regular, vertex_classes
 
-# MemoryError: a grid too large to allocate, e.g. --step 1e-12
+# MemoryError: a grid too large to build, e.g. --step 1e-12
 _COMPUTATION_ERRORS = (CentralityOverflowError, EigendecompositionError, MemoryError)
 
 
@@ -156,14 +156,13 @@ def _cmd_check_walk_regular(args) -> int:
 
 def _cmd_entropy(args) -> int:
     g = _load_graph(args)
-    report = walk_entropy(eigendecompose(g), args.beta, args.tol)
+    d = eigendecompose(g)
+    report = walk_entropy(d, args.beta, args.tol)
     if args.format == "json":
         _print_json(report.as_dict())
     elif args.format == "csv":
         reps = [c[0] for c in vertex_classes(g)]
-        head = [report.beta, report.entropy, report.max_entropy, report.deficit, report.spread]
-        row = np.hstack((head, report.probabilities[reps] * report.trace))
-        print("\n".join(_csv_lines(row[None, :], reps)))
+        print("\n".join(_csv_lines(_scan_table(d, args.beta, args.beta, 1.0, reps), reps)))
     else:
         print(f"beta = {_human(report.beta)}")
         print(f"entropy = {_human(report.entropy)}")

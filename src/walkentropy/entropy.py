@@ -135,8 +135,12 @@ def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:
         raise ValueError(f"need 0 <= beta_min <= beta_max, got [{beta_min}, {beta_max}]")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    count = int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
-    return beta_min + np.arange(count) * step
+    steps = (beta_max - beta_min) / step
+    # refuse what cannot be built before numpy is asked: past 2**53 steps
+    # (or at inf) a double no longer counts the nodes, and numpy's errors vary
+    if not steps < 2.0**53:
+        raise MemoryError(f"beta grid [{beta_min:g}, {beta_max:g}] at step {step:g} is too large")
+    return beta_min + np.arange(int(math.floor(steps + 1e-9)) + 1) * step
 
 
 def _scan_table(

@@ -11,6 +11,10 @@ sums to 1).  Eigenvalues are also clustered into numerically distinct
 values, giving the grouped weights a[i, j] = sum of w[i, k] over cluster j.
 Their column sums are the multiplicities, and the difference of two rows
 holds the coefficients of f[i] - f[k] as a sum over distinct eigenvalues.
+
+exp(beta * lambda) over a set of betas is formed in one place,
+``_exp_rows``, which raises :class:`CentralityOverflowError` at the first
+beta whose exponential or trace is not finite.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "EigendecompositionError",
     "CentralityOverflowError",
     "eigendecompose",
-    "exp_eigenvalues",
     "centrality_diagonal",
 ]
 
@@ -40,6 +43,8 @@ RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+_TRACE_OVERFLOW = "trace of exp(beta*A) overflows double precision at beta={:.6g}"
 
 
 class EigendecompositionError(RuntimeError):
@@ -131,18 +136,29 @@ def eigendecompose(g: Graph) -> SpectralDecomposition:
     return SpectralDecomposition(lam, weights, distinct, grouped)
 
 
-def _peak_overflow(peak: float, beta: float) -> CentralityOverflowError:
-    return CentralityOverflowError(
-        f"exp({peak:.6g}) overflows double precision at beta={beta:.6g}"
-    )
+def _exp_rows(d: SpectralDecomposition, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(outer(betas, lambda)), one row per beta, and its row sums (the traces).
 
-
-def exp_eigenvalues(d: SpectralDecomposition, beta: float) -> np.ndarray:
-    """exp(beta * lambda_k) for all k, with an explicit overflow guard."""
-    peak = float(np.max(beta * d.eigenvalues))
-    if peak > _LOG_FLOAT_MAX:
-        raise _peak_overflow(peak, beta)
-    return np.exp(beta * d.eigenvalues)
+    The one evaluator of exp(beta * lambda) over a set of betas.  Raises
+    :class:`CentralityOverflowError` naming the first beta at which
+    exp(beta * lambda_k) or the trace is not finite.
+    """
+    x = betas[:, None] * d.eigenvalues
+    # the eigenvalues descend, so a row peaks at its first or last entry
+    peaks = np.maximum(x[:, 0], x[:, -1])
+    over = peaks > _LOG_FLOAT_MAX
+    stop = int(over.argmax()) if over.any() else betas.size
+    e = np.exp(x[:stop], out=x[:stop])  # every exponent <= log(DBL_MAX): finite
+    with np.errstate(over="ignore"):  # reported below, by beta
+        traces = e.sum(axis=1)
+    finite = np.isfinite(traces)
+    if not finite.all():
+        raise CentralityOverflowError(_TRACE_OVERFLOW.format(betas[int(finite.argmin())]))
+    if stop < betas.size:
+        raise CentralityOverflowError(
+            f"exp({peaks[stop]:.6g}) overflows double precision at beta={betas[stop]:.6g}"
+        )
+    return e, traces
 
 
 def _centrality_rows(
@@ -150,28 +166,17 @@ def _centrality_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of exp(beta*A) (one row per beta of ``betas``) and their traces.
 
-    One exp of the outer product beta x lambda and one gemv per row,
-    ``weights @ exp(beta * lambda)``, the same product as for a single
-    beta, so every row is bitwise what a one-row call gives.  Raises
-    :class:`CentralityOverflowError` naming the first beta at which
-    exp(beta * lambda_k), a diagonal entry or the trace is not finite.
+    One gemv per row of :func:`_exp_rows`, ``weights @ exp(beta * lambda)``,
+    the same product as for a single beta, so every row is bitwise what a
+    one-row call gives.  A diagonal entry that is not finite although the
+    trace is raises the trace's :class:`CentralityOverflowError`.
     """
-    x = betas[:, None] * d.eigenvalues
-    peaks = x.max(axis=1)
-    over = peaks > _LOG_FLOAT_MAX
-    stop = int(over.argmax()) if over.any() else betas.size
-    e = np.exp(x[:stop], out=x[:stop])  # every exponent <= log(DBL_MAX): finite
+    e, traces = _exp_rows(d, betas)
     with np.errstate(over="ignore"):  # reported below, by beta
-        traces = e.sum(axis=1)
         values = np.matmul(d.weights, e[..., None])[..., 0]
-    if not (np.isfinite(traces).all() and np.isfinite(values).all()):
-        finite = np.isfinite(traces) & np.isfinite(values).all(axis=1)
-        beta = betas[int(finite.argmin())]
-        raise CentralityOverflowError(
-            f"trace of exp(beta*A) overflows double precision at beta={beta:.6g}"
-        )
-    if stop < betas.size:
-        raise _peak_overflow(peaks[stop], betas[stop])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise CentralityOverflowError(_TRACE_OVERFLOW.format(betas[int(finite.argmin())]))
     return values, traces
 
 

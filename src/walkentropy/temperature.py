@@ -37,12 +37,7 @@ import numpy as np
 
 from .entropy import _check_finite, _scan_betas, relative_spread
 from .graphs import Graph, degree_summary
-from .spectral import (
-    SpectralDecomposition,
-    centrality_diagonal,
-    eigendecompose,
-    exp_eigenvalues,
-)
+from .spectral import SpectralDecomposition, _exp_rows, centrality_diagonal, eigendecompose
 from .walks import (
     ExactWalkTable,
     WalkRegularityVerdict,
@@ -230,16 +225,6 @@ def _bisect_changes(
     return roots
 
 
-def _grid_values(
-    d: SpectralDecomposition, betas: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(outer(betas, lambda)) @ w and trace / n at each beta, on the main
-    grid and the refinement sub-grid alike; frees the (grid, n) exponentials."""
-    e = np.outer(betas, d.eigenvalues)
-    np.exp(e, out=e)
-    return e @ w, e.sum(axis=1) / e.shape[1]  # what e.mean(axis=1) computes
-
-
 def _scan_pair(
     d: SpectralDecomposition,
     betas: np.ndarray,
@@ -272,8 +257,8 @@ def _scan_pair(
         # grid_step when beta_max is not step-aligned, so interpolate rather
         # than assume a uniform width
         sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
-        sub_diff, sub_mean_f = _grid_values(d, sub, wdiff)
-        sub_signs = _resolved_signs(sub_diff, sub_mean_f, int(signs[t - 1]))
+        e, traces = _exp_rows(d, sub)
+        sub_signs = _resolved_signs(e @ wdiff, traces / e.shape[1], int(signs[t - 1]))
         for root, lo, hi in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
             candidates.append((root, lo, hi, pair))
             notes.append(
@@ -344,13 +329,18 @@ def _scan(
         return verdict, CrossingScan(True, classes, (), (), ())
 
     d = eigendecompose(g)
-    exp_eigenvalues(d, beta_max)  # fail fast on overflow before scanning
+    # fail fast: the trace and every f_i increase with beta >= 0, so the
+    # row at beta_max covers the grid before any grid is built
+    _exp_rows(d, np.array([beta_max], dtype=float))
     reps = [c[0] for c in classes]
 
     betas = _scan_betas(0.0, beta_max, grid_step)
     if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
         betas = np.append(betas, beta_max)
-    f_reps, mean_f = _grid_values(d, betas, d.weights[reps].T)  # (grid, classes)
+    e, traces = _exp_rows(d, betas)
+    f_reps = e @ d.weights[reps].T  # (grid, classes)
+    mean_f = traces / e.shape[1]  # what e.mean(axis=1) computes
+    del e  # free the (grid, n) exponentials before the pair scans
 
     rank = _profile_ranks(table, reps)
     trigger = REFINE_TRIGGER * mean_f[1:, None]

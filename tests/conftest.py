@@ -17,7 +17,6 @@ from walkentropy.spectral import (
     SpectralDecomposition,
     centrality_diagonal,
     eigendecompose,
-    exp_eigenvalues,
 )
 from walkentropy.temperature import (
     CROSSING_SPREAD_TOL,
@@ -33,6 +32,10 @@ from walkentropy.walks import closed_walk_table, vertex_classes
 #: beta = 236.59, but the trace 2*exp(3*beta) + 6*exp(-beta) overflows
 #: beyond beta = 236.36.
 TWO_K4 = "n 8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"
+
+#: Two disjoint K4 and a K2: not walk-regular, so the crossing scan runs its
+#: grid, on which the trace overflows from beta = 236.37 on.
+TWO_K4_K2 = TWO_K4.replace("n 8", "n 10") + "8 9\n"
 
 # a tree whose leaves 1 and 5 first differ in closed-walk count at length 6,
 # so their spectral difference at beta = 0.01 (~1e-15) is round-off
@@ -121,7 +124,7 @@ def class_difference(d: SpectralDecomposition, i: int, j: int, beta: float) -> f
     The reference for the sign regimes of a class pair: one gemv of the
     weight difference with ``exp(beta * lambda)``.
     """
-    return float((d.weights[i] - d.weights[j]) @ exp_eigenvalues(d, beta))
+    return float((d.weights[i] - d.weights[j]) @ np.exp(beta * d.eigenvalues))
 
 
 def all_pairs_scan(
@@ -234,7 +237,7 @@ def per_point_report(d: SpectralDecomposition, beta: float, tol: float) -> Entro
     ``weights @ exp(beta * lambda)``, its trace the sum of the exponentials,
     and the entropy that of the nonzero probabilities.
     """
-    e = exp_eigenvalues(d, beta)
+    e = np.exp(beta * d.eigenvalues)
     values, trace = d.weights @ e, float(e.sum())
     p = values / trace
     positive = p > 0.0

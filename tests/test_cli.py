@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import walkentropy
-from conftest import TWO_K4
+from conftest import TWO_K4, TWO_K4_K2
 from walkentropy import cli, entropy, graphs, spectral, temperature, walks
 from walkentropy.cli import _round_floats, _write_scan_json, main
 from walkentropy.graphs import complete_graph, parse_edge_list, serialize_edge_list
@@ -338,6 +338,32 @@ class TestFindCrossings:
         code, out, _ = run(capsys, "find-crossings", "-")
         assert code == 0
         assert "no maximal-entropy temperatures" in out
+
+    @pytest.mark.parametrize("command", ["find-crossings", "verify-counterexample"])
+    def test_trace_overflow_at_beta_max_is_computation_error(self, command):
+        # a fresh process, so a numpy RuntimeWarning would reach stderr
+        src = str(Path(walkentropy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkentropy.cli", command, "-", "--beta-max", "236.5"],
+            input=TWO_K4_K2.encode(), capture_output=True, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            b"computation error: trace of exp(beta*A) overflows double precision at beta=236.5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify-counterexample", "200"), "exp(838.516) overflows double precision at beta=200"),
+            (("find-crossings", "800"), "exp(3354.07) overflows double precision at beta=800"),
+        ],
+        ids=["verify-counterexample", "find-crossings"],
+    )
+    def test_peak_overflow_message(self, capsys, argv, message):
+        code, out, err = run(capsys, argv[0], "--hm", "4", "--beta-max", argv[1])
+        assert (code, out, err) == (2, "", f"computation error: {message}\n")
 
 
 class TestVerifyCounterexample:

@@ -208,6 +208,12 @@ class TestEntropyScan:
         with pytest.raises(ValueError, match="beta_max must be finite, got inf"):
             _scan_table(d, 0.0, math.inf, 0.01, [0])
 
+    @pytest.mark.parametrize("beta_max, step", [(1.0, 1e-300), (1e300, 1e-300), (2.0**53, 1.0)])
+    def test_grid_too_large_to_build(self, beta_max, step):
+        d = eigendecompose(complete_graph(3))
+        with pytest.raises(MemoryError, match=r"^beta grid \[0, .*\] at step .* is too large$"):
+            _scan_table(d, 0.0, beta_max, step, [0])
+
     def test_overflow_names_the_offending_beta(self):
         d = eigendecompose(hm_graph(4))
         with pytest.raises(CentralityOverflowError, match="beta=199"):
@@ -257,7 +263,6 @@ class TestScanWorkCounts:
     def test_4001_points_in_one_pass(self, monkeypatch):
         counts = _count_calls(monkeypatch, (
             (walkentropy.spectral, "centrality_diagonal"),
-            (walkentropy.spectral, "exp_eigenvalues"),
             (walkentropy.entropy, "centrality_diagonal"),
             (walkentropy.entropy, "entropy_from_diagonal"),
             (walkentropy.entropy, "walk_entropy"),

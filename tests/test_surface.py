@@ -47,7 +47,6 @@ PUBLIC_API = [
     "degree_summary",
     "eigendecompose",
     "entropy_from_diagonal",
-    "exp_eigenvalues",
     "find_crossings",
     "hm_graph",
     "is_walk_regular",
@@ -79,6 +78,28 @@ def test_grid_too_large_for_memory_is_a_computation_error(capsys, command):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("computation error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--beta-max", "1e300", "--step", "1e-300"),  # inf steps
+        ("scan", "--beta-max", "1", "--step", "1e-300"),
+        ("scan", "--beta-max", "1e20", "--step", "1"),
+        ("find-crossings", "--beta-max", "1", "--step", "1e-300"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_grid_too_large_to_build_is_a_computation_error(capsys, argv):
+    # refused before numpy is asked, whose ValueError would exit 1
+    code = main([argv[0], "--hm", "4", *argv[1:]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    beta_max, step = argv[2], argv[4]
+    assert err == (
+        f"computation error: beta grid [0, {float(beta_max):g}] at step "
+        f"{float(step):g} is too large\n"
+    )
 
 
 def test_public_api_is_pinned():

@@ -20,6 +20,7 @@ import walkentropy.temperature
 import walkentropy.walks
 from conftest import (
     DEEP_PAIR_TREE,
+    TWO_K4_K2,
     all_pairs_scan,
     bigint_closed_walk_table,
     class_difference,
@@ -28,8 +29,15 @@ from conftest import (
 )
 from walkentropy.cli import main
 from walkentropy.entropy import walk_entropy
-from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph, star_graph
-from walkentropy.spectral import eigendecompose
+from walkentropy.graphs import (
+    Graph,
+    complete_graph,
+    hm_graph,
+    parse_edge_list,
+    path_graph,
+    star_graph,
+)
+from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.temperature import (
     CoarseGridWarning,
     _busy_pairs,
@@ -216,6 +224,20 @@ class TestFindCrossings:
         # used to report "no crossings" on a graph that has two
         with pytest.raises(ValueError, match="grid_step must be finite, got inf"):
             find_crossings(hm_graph(4), grid_step=math.inf)
+
+    @pytest.mark.parametrize("run", [find_crossings, verify_counterexample])
+    def test_overflowing_trace_at_beta_max_is_refused(self, run):
+        # the grid nodes from beta = 236.37 on have an infinite mean
+        # centrality, where every difference would count as round-off
+        with pytest.raises(CentralityOverflowError, match=r"^trace .* at beta=236\.5$"):
+            run(parse_edge_list(TWO_K4_K2), beta_max=236.5)
+
+    def test_overflow_is_refused_before_the_grid_is_built(self):
+        # 2.4e14 grid nodes would not fit in memory; beta_max is checked first
+        with pytest.raises(CentralityOverflowError, match=r"^trace .* at beta=236\.5$"):
+            find_crossings(parse_edge_list(TWO_K4_K2), beta_max=236.5, grid_step=1e-12)
+        with pytest.raises(CentralityOverflowError, match=r"^exp\(3354\.07\) .* at beta=800$"):
+            find_crossings(hm_graph(4), beta_max=800.0, grid_step=1e-12)
 
     def test_refinement_catches_close_root_pair(self):
         # synthetic pair difference 2*cosh(beta - r) - 2 - eps: two roots
