@@ -45,9 +45,6 @@ class EntropyReport:
     spread: float  # (max f - min f) / mean f
     is_maximal: bool
 
-    def centrality_values(self) -> np.ndarray:
-        return self.probabilities * self.trace
-
     def as_dict(self) -> dict:
         return {
             "beta": self.beta,

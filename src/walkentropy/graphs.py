@@ -1,4 +1,4 @@
-"""Simple-graph representation, edge-list I/O, and graph generators.
+"""Simple-graph representation, edge-list I/O, and the HM(m) generator.
 
 Vertices are the integers 0..n-1.  A :class:`Graph` is immutable and
 hashable, so instances can be shared freely across threads and used as
@@ -10,6 +10,7 @@ one ``u v`` pair per line, ``#`` comments, and an optional leading
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,11 +25,6 @@ __all__ = [
     "serialize_edge_list",
     "degree_summary",
     "hm_graph",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "star_graph",
-    "petersen_graph",
 ]
 
 
@@ -41,8 +37,9 @@ class Graph:
     """Undirected simple graph: a vertex count and a set of edges.
 
     Edges are normalized to ``(u, v)`` with ``u < v`` on construction, so
-    duplicates and reversed pairs collapse.  Self-loops and out-of-range
-    endpoints are rejected.
+    duplicates and reversed pairs collapse.  Self-loops, out-of-range
+    endpoints and endpoints that are not integers (``operator.index``
+    fails, as for ``1.9`` or ``"1"``) are rejected.
     """
 
     n: int
@@ -53,7 +50,10 @@ class Graph:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         normalized = set()
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -75,14 +75,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists, each sorted ascending."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix with zero diagonal, built on
         first use and then shared: it is read-only, so copy it to mutate."""
@@ -101,10 +93,6 @@ class Graph:
 class DegreeSummary:
     degrees: tuple[int, ...]
     histogram: dict[int, int]
-
-    @property
-    def is_degree_regular(self) -> bool:
-        return len(self.histogram) <= 1
 
 
 def degree_summary(g: Graph) -> DegreeSummary:
@@ -203,30 +191,3 @@ def hm_graph(m: int) -> Graph:
         for i in range(m):
             edges.add((i, base + i))
     return Graph(m * m + 2 * m, frozenset(edges))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
-def star_graph(leaves: int) -> Graph:
-    """The star K_{1,leaves} with the center at vertex 0."""
-    return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
-
-
-def petersen_graph() -> Graph:
-    """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5."""
-    edges = {(i, (i + 1) % 5) for i in range(5)}
-    edges |= {(i, i + 5) for i in range(5)}
-    edges |= {(5 + i, 5 + (i + 2) % 5) for i in range(5)}
-    return Graph(10, frozenset(edges))

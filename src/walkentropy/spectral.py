@@ -65,10 +65,6 @@ class SpectralDecomposition:
     distinct_eigenvalues: np.ndarray  # (kappa,), descending cluster means
     grouped_weights: np.ndarray  # (n, kappa)
 
-    @property
-    def n(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 @dataclass(frozen=True, eq=False)
 class CentralityDiagonal:

@@ -57,9 +57,6 @@ class ExactWalkTable:
     L: int
     diag: tuple[tuple[int, ...], ...]
 
-    def trace(self, length: int) -> int:
-        return sum(row[length] for row in self.diag)
-
 
 class WalkRegularityWitness(NamedTuple):
     length: int

@@ -1,4 +1,5 @@
-"""Shared fixtures: the seeded random-graph corpus and brute-force oracles."""
+"""Shared fixtures: named small graphs, the seeded random-graph corpus and
+brute-force oracles."""
 
 import itertools
 import json
@@ -40,6 +41,43 @@ TWO_K4_K2 = TWO_K4.replace("n 8", "n 10") + "8 9\n"
 # a tree whose leaves 1 and 5 first differ in closed-walk count at length 6,
 # so their spectral difference at beta = 0.01 (~1e-15) is round-off
 DEEP_PAIR_TREE = Graph(7, frozenset({(0, 3), (0, 4), (1, 2), (2, 4), (3, 5), (4, 6)}))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def star_graph(leaves: int) -> Graph:
+    """The star K_{1,leaves} with the center at vertex 0."""
+    return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
+
+
+def petersen_graph() -> Graph:
+    """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5."""
+    edges = {(i, (i + 1) % 5) for i in range(5)}
+    edges |= {(i, i + 5) for i in range(5)}
+    edges |= {(5 + i, 5 + (i + 2) % 5) for i in range(5)}
+    return Graph(10, frozenset(edges))
+
+
+def neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Adjacency lists, each sorted ascending."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(a)) for a in nbrs)
+
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 200
@@ -84,7 +122,7 @@ def corpus() -> list[Graph]:
 
 def brute_force_closed_walks(g: Graph, start: int, length: int) -> int:
     """Count closed walks by explicit enumeration; exponential, tiny graphs only."""
-    nbrs = g.neighbors()
+    nbrs = neighbors(g)
 
     def rec(v: int, remaining: int) -> int:
         if remaining == 0:
@@ -101,7 +139,7 @@ def bigint_closed_walk_table(g: Graph, L: int) -> tuple[tuple[int, ...], ...]:
     between steps and, since A is 0/1, each step is
     ``new[i][j] = sum(old[i][k] for k in N(j))`` in Python integers.
     """
-    nbrs = g.neighbors()
+    nbrs = neighbors(g)
     n = g.n
     power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     diag = [[1] for _ in range(n)]
@@ -271,7 +309,7 @@ def per_point_scan_csv(reports: list[EntropyReport], class_reps: list[int]) -> s
     )
     lines = [header]
     for rep in reports:
-        f = rep.centrality_values()
+        f = rep.probabilities * rep.trace
         cells = [rep.beta, rep.entropy, rep.max_entropy, rep.deficit, rep.spread]
         cells.extend(float(f[r]) for r in class_reps)
         lines.append(",".join(f"{c:.12g}" for c in cells))
@@ -289,7 +327,7 @@ def per_point_scan_json(reports: list[EntropyReport], class_reps: list[int]) -> 
             "spread": r.spread,
             "class_values": {
                 str(rep): float(v)
-                for rep, v in zip(class_reps, r.centrality_values()[class_reps])
+                for rep, v in zip(class_reps, (r.probabilities * r.trace)[class_reps])
             },
         }
         for r in reports

@@ -10,16 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DEEP_PAIR_TREE, taylor_diagonal_oracle, taylor_required_terms
-from walkentropy.entropy import MAXIMALITY_TOL, walk_entropy
-from walkentropy.graphs import (
+from conftest import (
+    DEEP_PAIR_TREE,
     complete_graph,
     cycle_graph,
-    hm_graph,
     path_graph,
     petersen_graph,
     star_graph,
+    taylor_diagonal_oracle,
+    taylor_required_terms,
 )
+from walkentropy.entropy import MAXIMALITY_TOL, walk_entropy
+from walkentropy.graphs import hm_graph
 from walkentropy.spectral import centrality_diagonal, eigendecompose
 from walkentropy.temperature import find_crossings, verify_counterexample
 from walkentropy.walks import closed_walk_table, is_walk_regular

@@ -16,10 +16,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import walkentropy
-from conftest import TWO_K4, TWO_K4_K2
+from conftest import TWO_K4, TWO_K4_K2, complete_graph
 from walkentropy import cli, entropy, graphs, spectral, temperature, walks
 from walkentropy.cli import _round_floats, _write_scan_json, main
-from walkentropy.graphs import complete_graph, parse_edge_list, serialize_edge_list
+from walkentropy.graphs import parse_edge_list, serialize_edge_list
 
 
 def run(capsys, *argv):
@@ -526,6 +526,14 @@ def test_readme_find_crossings_example_is_current(capsys):
     block = re.search(r"```text\n\$ walkentropy find-crossings --hm 4\n(.*?)```", readme, re.S)
     assert block is not None
     assert run(capsys, "find-crossings", "--hm", "4") == (0, block.group(1), "")
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    exec(block.group(1), {})
+    assert capsys.readouterr().out.count("\n") == 2  # one line per HM(4) crossing
 
 
 def test_package_reexports_each_module_all():

@@ -15,11 +15,13 @@ import walkentropy.entropy
 import walkentropy.spectral
 from conftest import (
     TWO_K4,
+    complete_graph,
     graphs,
     per_point_report,
     per_point_scan,
     per_point_scan_csv,
     per_point_scan_json,
+    star_graph,
     taylor_diagonal_oracle,
 )
 from walkentropy.cli import main
@@ -31,14 +33,7 @@ from walkentropy.entropy import (
     relative_spread,
     walk_entropy,
 )
-from walkentropy.graphs import (
-    Graph,
-    complete_graph,
-    hm_graph,
-    parse_edge_list,
-    serialize_edge_list,
-    star_graph,
-)
+from walkentropy.graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from walkentropy.spectral import (
     CentralityOverflowError,
     centrality_diagonal,

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complete_graph, cycle_graph, petersen_graph, star_graph
 from walkentropy.graphs import (
     EdgeListError,
     Graph,
-    complete_graph,
-    cycle_graph,
     degree_summary,
     hm_graph,
     parse_edge_list,
-    petersen_graph,
     serialize_edge_list,
-    star_graph,
 )
 
 
@@ -32,6 +29,18 @@ class TestGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, frozenset({(0, 2)}))
+
+    @pytest.mark.parametrize("pair", [(0, 1.9), ("1", "2"), (0, None)])
+    def test_non_integer_endpoint_rejected(self, pair):
+        # int() would accept each of these, truncating 1.9 and parsing "1"
+        with pytest.raises(ValueError, match="non-integer endpoint") as info:
+            Graph(3, frozenset({pair}))
+        assert repr(pair) in str(info.value)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = Graph(3, frozenset({(np.int64(2), np.int32(0))}))
+        assert g.edges == frozenset({(0, 2)})
+        assert all(type(x) is int for e in g.edges for x in e)
 
     def test_vertex_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -178,8 +187,8 @@ class TestDegreeSummary:
             assert sum(degree_summary(g).degrees) == 2 * g.num_edges
 
     def test_regular_flag(self):
-        assert degree_summary(cycle_graph(5)).is_degree_regular
-        assert not degree_summary(star_graph(3)).is_degree_regular
+        assert len(degree_summary(cycle_graph(5)).histogram) <= 1
+        assert len(degree_summary(star_graph(3)).histogram) > 1
 
 
 class TestNamedGraphs:

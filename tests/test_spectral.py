@@ -7,10 +7,12 @@ import pytest
 
 from conftest import (
     InsufficientTermsError,
+    complete_graph,
+    path_graph,
     taylor_diagonal_oracle,
     taylor_required_terms,
 )
-from walkentropy.graphs import Graph, complete_graph, hm_graph, path_graph
+from walkentropy.graphs import Graph, hm_graph
 from walkentropy.spectral import (
     CentralityOverflowError,
     centrality_diagonal,

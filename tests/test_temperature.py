@@ -24,19 +24,15 @@ from conftest import (
     all_pairs_scan,
     bigint_closed_walk_table,
     class_difference,
+    complete_graph,
     graphs,
+    path_graph,
+    star_graph,
     zero_plus_sign,
 )
 from walkentropy.cli import main
 from walkentropy.entropy import walk_entropy
-from walkentropy.graphs import (
-    Graph,
-    complete_graph,
-    hm_graph,
-    parse_edge_list,
-    path_graph,
-    star_graph,
-)
+from walkentropy.graphs import Graph, hm_graph, parse_edge_list
 from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.temperature import (
     CoarseGridWarning,

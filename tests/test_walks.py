@@ -11,20 +11,16 @@ from hypothesis import given, settings
 from conftest import (
     bigint_closed_walk_table,
     brute_force_closed_walks,
-    graphs,
-    random_connected_graph,
-)
-import walkentropy.walks as walks
-from walkentropy.graphs import (
-    Graph,
     complete_graph,
     cycle_graph,
-    degree_summary,
-    hm_graph,
+    graphs,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     star_graph,
 )
+import walkentropy.walks as walks
+from walkentropy.graphs import Graph, degree_summary, hm_graph
 from walkentropy.walks import (
     ExactWalkTable,
     _certified_length,
@@ -78,8 +74,8 @@ class TestClosedWalkTable:
 
     def test_trace(self):
         table = closed_walk_table(complete_graph(3), 3)
-        assert table.trace(2) == 6
-        assert table.trace(3) == 6
+        assert sum(row[2] for row in table.diag) == 6
+        assert sum(row[3] for row in table.diag) == 6
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -269,7 +265,7 @@ class TestVertexClasses:
         graphs = list(corpus) + [petersen_graph(), complete_graph(6)]
         for g in graphs:
             if is_walk_regular(g).is_walk_regular:
-                assert degree_summary(g).is_degree_regular
+                assert len(degree_summary(g).histogram) <= 1
 
     def test_partition_refinement_is_monotone(self, corpus):
         # grouping on profiles up to l+1 must refine the grouping up to l
