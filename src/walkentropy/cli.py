@@ -161,8 +161,11 @@ def _cmd_entropy(args) -> int:
     if args.format == "json":
         _print_json(report.as_dict())
     elif args.format == "csv":
+        # the scan-table row of the report, bitwise, without a second evaluation
         reps = [c[0] for c in vertex_classes(g)]
-        print("\n".join(_csv_lines(_scan_table(d, args.beta, args.beta, 1.0, reps), reps)))
+        row = [report.beta, report.entropy, report.max_entropy, report.deficit, report.spread]
+        row += (report.probabilities[reps] * report.trace).tolist()
+        print("\n".join(_csv_lines(np.array([row]), reps)))
     else:
         print(f"beta = {_human(report.beta)}")
         print(f"entropy = {_human(report.entropy)}")

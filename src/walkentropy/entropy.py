@@ -25,7 +25,6 @@ from .spectral import (
 __all__ = [
     "MAXIMALITY_TOL",
     "EntropyReport",
-    "relative_spread",
     "entropy_from_diagonal",
     "walk_entropy",
 ]
@@ -71,10 +70,6 @@ def _row_spreads(values: np.ndarray) -> np.ndarray:
     return (values.max(axis=1) - values.min(axis=1)) / mean
 
 
-def relative_spread(values: np.ndarray) -> float:
-    return float(_row_spreads(np.asarray(values, dtype=float)[None, :])[0])
-
-
 def _row_entropies(
     values: np.ndarray, traces: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,11 +113,12 @@ def entropy_from_diagonal(
 def walk_entropy(
     d: SpectralDecomposition, beta: float, tol: float = MAXIMALITY_TOL
 ) -> EntropyReport:
-    """Walk entropy at temperature beta (natural-log units)."""
+    """Walk entropy at temperature beta (natural-log units); -0.0 reads as 0.0."""
     _check_finite(beta=beta)
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return entropy_from_diagonal(centrality_diagonal(d, beta), tol)
+    # + 0.0 turns -0.0 into 0.0, as the scan grid's beta_min + 0 * step does
+    return entropy_from_diagonal(centrality_diagonal(d, beta + 0.0), tol)
 
 
 def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:

@@ -11,6 +11,7 @@ one ``u v`` pair per line, ``#`` comments, and an optional leading
 from __future__ import annotations
 
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,15 +40,21 @@ class Graph:
     Edges are normalized to ``(u, v)`` with ``u < v`` on construction, so
     duplicates and reversed pairs collapse.  Self-loops, out-of-range
     endpoints and endpoints that are not integers (``operator.index``
-    fails, as for ``1.9`` or ``"1"``) are rejected.
+    fails, as for ``1.9`` or ``"1"``) are rejected.  ``n`` is read with
+    ``operator.index`` too, and a ``bool`` is refused.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        try:
+            n = None if isinstance(self.n, bool) else operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         normalized = set()
         for u, v in self.edges:
             try:
@@ -56,8 +63,8 @@ class Graph:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
@@ -101,6 +108,18 @@ def degree_summary(g: Graph) -> DegreeSummary:
     return DegreeSummary(tuple(deg), dict(sorted(Counter(deg).items())))
 
 
+#: An edge-list integer: ASCII digits with an optional sign.  ``int()``
+#: alone would also read ``1_0`` as 10 and other scripts' digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    """``int(token)`` if ``token`` matches ``_INTEGER``, else ValueError."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an edge-list integer: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a :class:`Graph`.
 
@@ -111,7 +130,8 @@ def parse_edge_list(text: str) -> Graph:
     ``(v, u)`` denote the same edge and duplicates are merged.
 
     Raises :class:`EdgeListError` (with the offending line number) on
-    self-loops, non-integer tokens, or endpoints outside ``[0, n)``.
+    self-loops, non-integer tokens, or endpoints outside ``[0, n)``.  An
+    integer token is ASCII digits with an optional sign.
     """
     declared: int | None = None
     pairs: list[tuple[int, int, int]] = []
@@ -126,7 +146,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2:
                 raise EdgeListError(f"line {lineno}: expected 'n <count>', got {line!r}")
             try:
-                declared = int(tokens[1])
+                declared = _integer(tokens[1])
             except ValueError:
                 raise EdgeListError(
                     f"line {lineno}: non-integer vertex count {tokens[1]!r}"
@@ -140,7 +160,7 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens"
             )
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _integer(tokens[0]), _integer(tokens[1])
         except ValueError:
             raise EdgeListError(
                 f"line {lineno}: non-integer vertex id in {line!r}"

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .entropy import _check_finite, _scan_betas, relative_spread
+from .entropy import _check_finite, _row_spreads, _scan_betas
 from .graphs import Graph, degree_summary
-from .spectral import SpectralDecomposition, _exp_rows, centrality_diagonal, eigendecompose
+from .spectral import SpectralDecomposition, _centrality_rows, _exp_rows, eigendecompose
 from .walks import (
-    ExactWalkTable,
     WalkRegularityVerdict,
     _certified_length,
     _verdict,
@@ -177,19 +175,6 @@ class CounterexampleReport:
         }
 
 
-def _profile_ranks(table: ExactWalkTable, reps: Sequence[int]) -> np.ndarray:
-    """Rank of each representative's exact walk profile in tuple order.
-
-    Tuple order is the first-differing-count comparison, so f_a - f_b > 0
-    as beta -> 0+ exactly when ``rank[a] > rank[b]``; distinct classes
-    always differ somewhere.
-    """
-    order = sorted(range(len(reps)), key=lambda c: table.diag[reps[c]])
-    rank = np.empty(len(reps), dtype=int)
-    rank[order] = np.arange(len(reps))
-    return rank
-
-
 def _resolved_signs(values: np.ndarray, mean_f: np.ndarray, first: int) -> np.ndarray:
     """Signs of ``values`` on a grid, the first node set to ``first``.
 
@@ -230,14 +215,19 @@ def _scan_pair(
     betas: np.ndarray,
     diff: np.ndarray,
     mean_f: np.ndarray,
-    sign_zero_plus: int,
     grid_step: float,
-    pair: tuple[int, int],
+    lo: int,
+    hi: int,
 ) -> tuple[list[tuple[float, float, float, tuple[int, int]]], list[str]]:
-    """Brackets and bisected roots for one class pair over the grid."""
-    wdiff = d.weights[pair[0]] - d.weights[pair[1]]
-    # beta = 0 is an exact tie; start from the walk-count sign at 0+
-    signs = _resolved_signs(diff, mean_f, sign_zero_plus)
+    """Brackets and bisected roots for one class pair over the grid.
+
+    ``diff`` is f_hi - f_lo at ``betas``, positive at 0+ (representatives
+    ``lo`` and ``hi`` in 0+ order); the pair is reported as (min, max).
+    """
+    pair = (min(lo, hi), max(lo, hi))
+    wdiff = d.weights[hi] - d.weights[lo]
+    # beta = 0 is an exact tie; start from the sign at 0+
+    signs = _resolved_signs(diff, mean_f, 1)
     candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
     notes: list[str] = []
 
@@ -259,8 +249,8 @@ def _scan_pair(
         sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
         e, traces = _exp_rows(d, sub)
         sub_signs = _resolved_signs(e @ wdiff, traces / e.shape[1], int(signs[t - 1]))
-        for root, lo, hi in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
-            candidates.append((root, lo, hi, pair))
+        for root, left, right in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
+            candidates.append((root, left, right, pair))
             notes.append(
                 f"grid step {grid_step:g} too coarse near beta={root:.9g}: "
                 f"sign change of pair {pair} found only at step/{REFINE_FACTOR}"
@@ -268,28 +258,23 @@ def _scan_pair(
     return candidates, notes
 
 
-def _busy_pairs(
-    f: np.ndarray, rank: np.ndarray, trigger: np.ndarray
-) -> list[tuple[int, int]]:
-    """The class pairs (a, b), a < b, that are not idle, in that order.
+def _busy_pairs(f: np.ndarray, trigger: np.ndarray) -> list[tuple[int, int]]:
+    """The column pairs (i, j), i < j, that are not idle, by j and then i.
 
     ``f`` holds each class's values at the grid nodes beta > 0 (grid x
-    classes) and ``trigger`` the refinement trigger at each node (grid x 1).
-    A pair is idle when its difference, oriented by the 0+ sign, is at or
-    above the trigger at every node: every node then resolves to the 0+
-    sign and none is near zero, so :func:`_scan_pair` would return
-    ``([], [])``.  In 0+ order (ascending ``rank``) the oriented difference
-    of classes i < j is fl(f_j - f_i), and fl(x - y) never increases as y
-    grows, so its minimum over i < j is fl(f_j - max_{i<j} f_i) bit for bit.
-    One running maximum thus clears every class whose pairs with all
-    classes below it are idle; only the others are compared with each
-    class below them, one class column at a time.
+    classes, columns in 0+ order) and ``trigger`` the refinement trigger
+    at each node (grid x 1).  A pair is idle when fl(f_j - f_i), positive
+    at 0+, is at or above the trigger at every node: every node then
+    resolves to the 0+ sign and none is near zero, so :func:`_scan_pair`
+    would return ``([], [])``.  fl(x - y) never increases as y grows, so
+    the minimum over i < j is fl(f_j - max_{i<j} f_i) bit for bit.  One
+    running maximum thus clears every class whose pairs with all classes
+    below it are idle; only the others are compared with each class below
+    them, one class column at a time.
     """
-    # the inverse permutation of rank, by scatter: a first np.argsort call
-    # pages in about 0.3 MB of numpy's sort kernels
-    order = np.empty_like(rank)
-    order[rank] = np.arange(rank.size)
-    f = f[:, order]
+    # one column-major copy: every slice below takes whole columns, which
+    # are then contiguous; on row-major f the screen takes over twice as long
+    f = np.asfortranarray(f)
     gap = np.maximum.accumulate(f[:, :-1], axis=1)
     np.subtract(f[:, 1:], gap, out=gap)
     clear = (gap >= trigger).all(axis=0)
@@ -298,10 +283,7 @@ def _busy_pairs(
         # gap's first j columns are free again: reuse them, allocate nothing
         np.subtract(f[:, j : j + 1], f[:, :j], out=gap[:, :j])
         idle = (gap[:, :j] >= trigger).all(axis=0)
-        hi = int(order[j])
-        for lo in order[np.nonzero(~idle)[0]].tolist():
-            busy.append((lo, hi) if lo < hi else (hi, lo))
-    busy.sort()
+        busy.extend((i, j) for i in np.nonzero(~idle)[0].tolist())
     return busy
 
 
@@ -333,30 +315,26 @@ def _scan(
     # row at beta_max covers the grid before any grid is built
     _exp_rows(d, np.array([beta_max], dtype=float))
     reps = [c[0] for c in classes]
+    # 0+ order: f_a < f_b as beta -> 0+ exactly when a's walk profile is the smaller tuple
+    ordered = sorted(reps, key=table.diag.__getitem__)
 
     betas = _scan_betas(0.0, beta_max, grid_step)
     if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
         betas = np.append(betas, beta_max)
     e, traces = _exp_rows(d, betas)
-    f_reps = e @ d.weights[reps].T  # (grid, classes)
+    f = e @ d.weights[ordered].T  # (grid, classes), columns in 0+ order
     mean_f = traces / e.shape[1]  # what e.mean(axis=1) computes
     del e  # free the (grid, n) exponentials before the pair scans
 
-    rank = _profile_ranks(table, reps)
-    trigger = REFINE_TRIGGER * mean_f[1:, None]
-
+    # scanned in representative-pair order, which fixes the order of the
+    # notes and of equal-beta candidates in the merge below
+    busy = _busy_pairs(f[1:], REFINE_TRIGGER * mean_f[1:, None])
+    busy.sort(key=lambda ij: sorted([ordered[ij[0]], ordered[ij[1]]]))
     candidates: list[tuple[float, float, float, tuple[int, int]]] = []
     notes: list[str] = []
-    for a, b in _busy_pairs(f_reps[1:], rank, trigger):
-        pair = (reps[a], reps[b])
+    for i, j in busy:
         cand, pair_notes = _scan_pair(
-            d,
-            betas,
-            f_reps[:, a] - f_reps[:, b],
-            mean_f,
-            1 if rank[a] > rank[b] else -1,
-            grid_step,
-            pair,
+            d, betas, f[:, j] - f[:, i], mean_f, grid_step, ordered[i], ordered[j]
         )
         candidates.extend(cand)
         notes.extend(pair_notes)
@@ -373,21 +351,15 @@ def _scan(
 
     crossings: list[CrossingReport] = []
     pairwise: list[PairwiseCrossing] = []
-    for beta_star, lo, hi, pair in merged:
-        cd = centrality_diagonal(d, beta_star)
-        spread = relative_spread(cd.values)
-        if spread <= spread_tol:
-            crossings.append(
-                CrossingReport(
-                    beta_star=beta_star,
-                    bracket=(lo, hi),
-                    class_values=tuple(float(cd.values[r]) for r in reps),
-                    max_spread_at_root=spread,
-                    pair=pair,
-                )
-            )
-        else:
-            pairwise.append(PairwiseCrossing(beta_star, pair, spread))
+    if merged:  # every root in one evaluation; each row is bitwise a one-row call
+        values = _centrality_rows(d, np.array([c[0] for c in merged]))[0]
+        spreads = _row_spreads(values).tolist()
+        for (beta_star, lo, hi, pair), row, spread in zip(merged, values, spreads):
+            if spread <= spread_tol:
+                class_values = tuple(row[reps].tolist())
+                crossings.append(CrossingReport(beta_star, (lo, hi), class_values, spread, pair))
+            else:
+                pairwise.append(PairwiseCrossing(beta_star, pair, spread))
 
     scan = CrossingScan(False, classes, tuple(crossings), tuple(pairwise), tuple(notes))
     return verdict, scan

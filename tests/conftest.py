@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from walkentropy.cli import _round_floats
-from walkentropy.entropy import EntropyReport, relative_spread
+from walkentropy.entropy import EntropyReport
 from walkentropy.graphs import Graph
 from walkentropy.spectral import (
     CentralityDiagonal,
@@ -68,6 +68,18 @@ def petersen_graph() -> Graph:
     edges |= {(i, i + 5) for i in range(5)}
     edges |= {(5 + i, 5 + (i + 2) % 5) for i in range(5)}
     return Graph(10, frozenset(edges))
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """G□H on the vertices v * h.n + w: (v, w) ~ (v', w) when v ~ v' in G,
+    and (v, w) ~ (v, w') when w ~ w' in H.
+
+    exp(beta * (A□B)) is exp(beta * A) ⊗ exp(beta * B), so f_(v,w) = f_v * f_w:
+    G□W with W walk-regular has exactly G's crossings, and so does G□G.
+    """
+    edges = {(u * h.n + w, v * h.n + w) for u, v in g.edges for w in range(h.n)}
+    edges |= {(x * h.n + u, x * h.n + v) for u, v in h.edges for x in range(g.n)}
+    return Graph(g.n * h.n, frozenset(edges))
 
 
 def neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -170,8 +182,9 @@ def all_pairs_scan(
 ) -> tuple[CrossingScan, dict]:
     """``find_crossings`` with every class pair sent through ``_scan_pair``.
 
-    The reference for the idle-pair screen: no pair is skipped, and each
-    0+ sign comes from ``bigint_closed_walk_table`` at length n - 1.
+    The reference for the idle-pair screen: no pair is skipped, each 0+
+    sign comes from ``bigint_closed_walk_table`` at length n - 1, and each
+    root is checked with its own ``centrality_diagonal`` call.
     Returns the scan and each pair's ``_scan_pair`` result, in pair order.
     """
     classes = vertex_classes(g)
@@ -191,9 +204,9 @@ def all_pairs_scan(
     per_pair = {}
     for a, b in itertools.combinations(range(len(reps)), 2):
         pair = (reps[a], reps[b])
-        sign = zero_plus_sign(profiles, *pair)
-        diff = f_reps[:, a] - f_reps[:, b]
-        per_pair[pair] = _scan_pair(d, betas, diff, mean_f, sign, grid_step, pair)
+        lo, hi = (b, a) if zero_plus_sign(profiles, *pair) > 0 else (a, b)
+        diff = f_reps[:, hi] - f_reps[:, lo]
+        per_pair[pair] = _scan_pair(d, betas, diff, mean_f, grid_step, reps[lo], reps[hi])
 
     candidates = sorted(
         (c for cand, _ in per_pair.values() for c in cand), key=lambda c: c[0]
@@ -204,10 +217,10 @@ def all_pairs_scan(
             merged.append(cand)
     crossings, pairwise = [], []
     for beta_star, lo, hi, pair in merged:
-        cd = centrality_diagonal(d, beta_star)
-        spread = relative_spread(cd.values)
+        v = centrality_diagonal(d, beta_star).values
+        spread = float((v.max() - v.min()) / v.mean())
         if spread <= CROSSING_SPREAD_TOL:
-            values = tuple(float(cd.values[r]) for r in reps)
+            values = tuple(float(v[r]) for r in reps)
             crossings.append(CrossingReport(beta_star, (lo, hi), values, spread, pair))
         else:
             pairwise.append(PairwiseCrossing(beta_star, pair, spread))

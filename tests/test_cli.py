@@ -129,6 +129,17 @@ class TestEntropy:
         assert lines[0].startswith("beta,entropy,max_entropy,deficit,spread")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize(
+        "fmt, beta_text",
+        [("human", "beta = 0\n"), ("json", '"beta": 0.0,'), ("csv", "\n0,")],
+    )
+    def test_minus_zero_beta_prints_zero(self, capsys, fmt, beta_text):
+        # -0.0 reads as 0.0, the beta that the CSV row always printed
+        code, out, _ = run(capsys, "entropy", "--hm", "4", "--beta", "-0", "--format", fmt)
+        assert code == 0
+        assert beta_text in out
+        assert "-0" not in out
+
     def test_overflow_is_computation_error(self, capsys):
         code, _, err = run(capsys, "entropy", "--hm", "4", "--beta", "200")
         assert code == 2

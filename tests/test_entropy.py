@@ -28,9 +28,9 @@ from walkentropy.cli import main
 from walkentropy.entropy import (
     MAXIMALITY_TOL,
     _csv_lines,
+    _row_spreads,
     _scan_table,
     entropy_from_diagonal,
-    relative_spread,
     walk_entropy,
 )
 from walkentropy.graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
@@ -280,6 +280,30 @@ class TestScanWorkCounts:
         assert out.getvalue().count("\n") > 4001
         assert counts == {"_centrality_rows": 1}
 
+    def test_cli_entropy_csv_evaluates_the_diagonal_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch, (
+            (walkentropy.spectral, "_centrality_rows"),
+            (walkentropy.entropy, "_centrality_rows"),
+        ))
+        argv = ["entropy", "--hm", "4", "--beta", "1", "--format", "csv"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue().count("\n") == 2
+        assert counts == {"_centrality_rows": 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(max_n=16), st.floats(min_value=0.0, max_value=40.0))
+    def test_cli_entropy_csv_is_the_scan_table_row(self, g, beta):
+        d = eigendecompose(g)
+        beta = min(beta, 700.0 / max(1.0, float(d.eigenvalues[0])))
+        reps = [c[0] for c in vertex_classes(g)]
+        expected = _csv_lines(_scan_table(d, beta, beta, 1.0, reps), reps)
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(serialize_edge_list(g))):
+            with contextlib.redirect_stdout(out):
+                assert main(["entropy", "-", "--beta", repr(beta), "--format", "csv"]) == 0
+        assert out.getvalue() == "\n".join(expected) + "\n"
+
 
 def _fields(r):
     return (r.beta, r.entropy, r.max_entropy, r.deficit, r.trace, r.spread, r.is_maximal)
@@ -363,4 +387,4 @@ class TestScanCsv:
 
 
 def test_relative_spread_constant_vector():
-    assert relative_spread(np.ones(5)) == 0.0
+    assert _row_spreads(np.ones((1, 5))).tolist() == [0.0]

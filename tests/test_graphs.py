@@ -46,6 +46,16 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, frozenset())
 
+    def test_numpy_integer_vertex_count_accepted(self):
+        g = Graph(np.int64(3), frozenset({(0, 2)}))
+        assert type(g.n) is int
+        assert g == Graph(3, frozenset({(0, 2)}))
+
+    @pytest.mark.parametrize("n", [True, False, 3.0, "3"])
+    def test_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+            Graph(n, frozenset())
+
     def test_adjacency_matrix_symmetric_zero_diagonal(self):
         g = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
         a = g.adjacency_matrix()
@@ -82,6 +92,27 @@ class TestParseEdgeList:
     def test_non_integer_token(self):
         with pytest.raises(EdgeListError, match="non-integer"):
             parse_edge_list("0 x")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1_0\n", "line 1: non-integer vertex id in '0 1_0'"),
+            ("0 1\n0 \u0661\n", "line 2: non-integer vertex id in '0 \u0661'"),
+            ("0 \uff11\n", "line 1: non-integer vertex id"),
+            ("n 1_2\n0 1\n", "line 1: non-integer vertex count '1_2'"),
+            ("n \u0663\n", "line 1: non-integer vertex count"),
+        ],
+        ids=["underscore", "arabic-indic", "fullwidth", "header-underscore", "header-digit"],
+    )
+    def test_only_ascii_digits_are_integers(self, text, message):
+        # int() accepts each of these tokens
+        with pytest.raises(EdgeListError, match=message):
+            parse_edge_list(text)
+
+    def test_signed_ascii_tokens_keep_their_meaning(self):
+        assert parse_edge_list("n +3\n+0 01\n") == Graph(3, frozenset({(0, 1)}))
+        with pytest.raises(EdgeListError, match="line 1: negative vertex id"):
+            parse_edge_list("-1 0\n")
 
     def test_endpoint_beyond_declared_count(self):
         with pytest.raises(EdgeListError, match="out of range"):

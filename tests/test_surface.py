@@ -55,7 +55,6 @@ PUBLIC_API = [
     "hm_graph",
     "is_walk_regular",
     "parse_edge_list",
-    "relative_spread",
     "serialize_edge_list",
     "verify_counterexample",
     "vertex_classes",

@@ -23,6 +23,7 @@ from conftest import (
     TWO_K4_K2,
     all_pairs_scan,
     bigint_closed_walk_table,
+    cartesian_product,
     class_difference,
     complete_graph,
     graphs,
@@ -37,13 +38,12 @@ from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.temperature import (
     CoarseGridWarning,
     _busy_pairs,
-    _profile_ranks,
     _resolved_signs,
     _scan_pair,
     find_crossings,
     verify_counterexample,
 )
-from walkentropy.walks import _certified_length, closed_walk_table, vertex_classes
+from walkentropy.walks import vertex_classes
 
 # bisection results at bracket width 1e-12, frozen for regression; the
 # external anchors are 0.499 and 1.912 at 5e-3
@@ -63,7 +63,7 @@ SCREEN_GRIDS = [{}, {"beta_max": 3.0, "grid_step": 0.05}]
 
 @st.composite
 def screen_inputs(draw):
-    """Class values (grid x k), a 0+ rank per class and a trigger per node.
+    """Class values (grid x k), columns in 0+ order, and a trigger per node.
 
     Small integers make exact ties common; some columns copy an earlier
     column, or add the trigger to one, so pairs sit exactly at the trigger.
@@ -81,18 +81,19 @@ def screen_inputs(draw):
         else:
             base = columns[draw(st.integers(0, len(columns) - 1))]
             columns.append(base.copy() if kind == "equal" else base + trigger[:, 0])
-    rank = np.array(draw(st.permutations(range(k))))
-    return np.column_stack(columns), rank, trigger
+    order = draw(st.permutations(range(k)))
+    return np.column_stack([columns[c] for c in order]), trigger
 
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The pairs ``_scan`` sends through ``_scan_pair``, in call order."""
+    """The pairs ``_scan`` sends through ``_scan_pair``, in call order, each
+    as (min, max) of its two representatives."""
     pairs = []
     real = walkentropy.temperature._scan_pair
 
     def recorded(*args):
-        pairs.append(args[-1])
+        pairs.append(tuple(sorted(args[-2:])))
         return real(*args)
 
     monkeypatch.setattr(walkentropy.temperature, "_scan_pair", recorded)
@@ -248,9 +249,11 @@ class TestFindCrossings:
         diff = np.exp(np.outer(betas, lam)) @ (w0 - w1)
         assert np.all(np.sign(diff[1:]) > 0)  # main grid sees no sign change
         mean_f = np.full_like(betas, 20.0)
-        candidates, notes = _scan_pair(fake, betas, diff, mean_f, 1, 0.01, (0, 1))
+        # diff = f_0 - f_1 is positive at 0+: class 1 is low, class 0 high
+        candidates, notes = _scan_pair(fake, betas, diff, mean_f, 0.01, 1, 0)
         roots = sorted(c[0] for c in candidates)
         assert len(roots) == 2
+        assert all(c[3] == (0, 1) for c in candidates)
         width = math.sqrt(eps)  # leading order of the dip half-width
         assert roots[0] == pytest.approx(r - width, rel=0.1)
         assert roots[1] == pytest.approx(r + width, rel=0.1)
@@ -281,6 +284,45 @@ class TestFindCrossings:
             with pytest.warns(CoarseGridWarning) as record:
                 fn(hm_graph(4))
             assert [w.filename for w in record] == [__file__]
+
+
+class TestCartesianProducts:
+    """Products with HM(4) against the crossings of the factor HM(4) alone.
+
+    f_(v,w) = f_v * f_w, so each product's roots are the factor's.  On
+    HM(4)□P3 and HM(4)□HM(4) several class pairs find the same roots; the
+    merge keeps the first pair in representative-pair order.
+    """
+
+    @pytest.fixture(scope="class")
+    def factor_roots(self):
+        return [c.beta_star for c in find_crossings(hm_graph(4)).crossings]
+
+    def test_hm4_times_k2(self, factor_roots):
+        g = cartesian_product(hm_graph(4), complete_graph(2))
+        scan = find_crossings(g)
+        assert (g.n, len(scan.classes)) == (48, 2)
+        assert [c.beta_star for c in scan.crossings] == pytest.approx(factor_roots, abs=1e-9)
+        assert [round(c.beta_star, 9) for c in scan.crossings] == [0.499001413, 1.912023505]
+        assert scan.pairwise_only == ()
+
+    def test_hm4_times_p3(self, factor_roots):
+        # the P3 end and centre split each HM(4) class: the hub-clique
+        # pairs cross, but the end and centre values never agree
+        g = cartesian_product(hm_graph(4), path_graph(3))
+        scan = find_crossings(g)
+        assert (g.n, len(scan.classes)) == (72, 4)
+        assert scan.crossings == ()
+        assert [p.beta for p in scan.pairwise_only] == pytest.approx(factor_roots, abs=1e-9)
+        assert [p.pair for p in scan.pairwise_only] == [(0, 12), (0, 12)]
+
+    def test_hm4_times_hm4(self, factor_roots):
+        g = cartesian_product(hm_graph(4), hm_graph(4))
+        scan = find_crossings(g)
+        assert (g.n, len(scan.classes)) == (576, 3)
+        assert [c.beta_star for c in scan.crossings] == pytest.approx(factor_roots, abs=1e-9)
+        assert [c.pair for c in scan.crossings] == [(0, 4), (0, 4)]
+        assert scan.pairwise_only == ()
 
 
 class TestWorkCounts:
@@ -359,14 +401,21 @@ class TestWorkCounts:
     )
     def test_walk_regular_takes_no_spectral_work(self, counts, monkeypatch, entry):
         # the exact verdict answers everything for K4, beta = 1 included
-        real = walkentropy.spectral.centrality_diagonal
+        for name, modules in (
+            ("centrality_diagonal", (walkentropy.spectral, walkentropy.entropy)),
+            (
+                "_centrality_rows",
+                (walkentropy.spectral, walkentropy.entropy, walkentropy.temperature),
+            ),
+        ):
+            real = getattr(walkentropy.spectral, name)
 
-        def counted(*args, **kwargs):
-            counts["centrality_diagonal"] += 1
-            return real(*args, **kwargs)
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
 
-        for module in (walkentropy.spectral, walkentropy.entropy, walkentropy.temperature):
-            monkeypatch.setattr(module, "centrality_diagonal", counted)
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
         entry(complete_graph(4))
         assert counts == {"closed_walk_table": 1}
 
@@ -464,23 +513,38 @@ class TestIdlePairScreen:
     @settings(max_examples=300, deadline=None)
     @given(screen_inputs())
     def test_busy_pairs_are_the_pairs_that_dip_below_the_trigger(self, inputs):
-        f, rank, trigger = inputs
+        f, trigger = inputs
         expected = [
-            (a, b)
-            for a, b in itertools.combinations(range(f.shape[1]), 2)
-            if ((1 if rank[a] > rank[b] else -1) * (f[:, a] - f[:, b]) < trigger[:, 0]).any()
+            (i, j)
+            for j in range(f.shape[1])
+            for i in range(j)
+            if ((f[:, j] - f[:, i]) < trigger[:, 0]).any()
         ]
-        assert _busy_pairs(f, rank, trigger) == expected
+        assert _busy_pairs(f, trigger) == expected
 
-    def test_profile_ranks_give_the_zero_plus_sign(self, corpus):
+    def test_profile_order_gives_the_zero_plus_sign(self, monkeypatch, corpus):
+        # every pair goes to _scan_pair, low class first in 0+ order
+        def all_pairs(f, trigger):
+            return list(itertools.combinations(range(f.shape[1]), 2))
+
+        real = walkentropy.temperature._scan_pair
+        low_high = []
+
+        def recorded(*args):
+            low_high.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(walkentropy.temperature, "_busy_pairs", all_pairs)
+        monkeypatch.setattr(walkentropy.temperature, "_scan_pair", recorded)
         for g in [*corpus, *SCREEN_GRAPHS.values(), star_graph(3), path_graph(3)]:
             reps = [c[0] for c in vertex_classes(g)]
-            rank = _profile_ranks(closed_walk_table(g, _certified_length(g)), reps)
+            low_high.clear()
+            find_crossings(g, beta_max=0.1, grid_step=0.05)
+            pairs = sorted(tuple(sorted(p)) for p in low_high)
+            assert pairs == list(itertools.combinations(reps, 2))
             profiles = bigint_closed_walk_table(g, g.n - 1)
-            for a in range(len(reps)):
-                for b in range(a + 1, len(reps)):
-                    expected = zero_plus_sign(profiles, reps[a], reps[b])
-                    assert (1 if rank[a] > rank[b] else -1) == expected
+            for lo, hi in low_high:
+                assert zero_plus_sign(profiles, hi, lo) == 1
 
 
 class TestDominance:
