@@ -41,7 +41,7 @@ from .spectral import (
     eigendecompose,
 )
 from .temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
-from .walks import is_walk_regular, vertex_classes
+from .walks import is_walk_regular
 
 # MemoryError: a grid too large to build, e.g. --step 1e-12
 _COMPUTATION_ERRORS = (CentralityOverflowError, EigendecompositionError, MemoryError)
@@ -162,7 +162,7 @@ def _cmd_entropy(args) -> int:
         _print_json(report.as_dict())
     elif args.format == "csv":
         # the scan-table row of the report, bitwise, without a second evaluation
-        reps = [c[0] for c in vertex_classes(g)]
+        reps = [c[0] for c in is_walk_regular(g).classes]
         row = [report.beta, report.entropy, report.max_entropy, report.deficit, report.spread]
         row += (report.probabilities[reps] * report.trace).tolist()
         print("\n".join(_csv_lines(np.array([row]), reps)))
@@ -230,7 +230,7 @@ def _write_scan_json(table: np.ndarray, reps: list[int]) -> None:
 def _cmd_scan(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
-    reps = [c[0] for c in vertex_classes(g)]
+    reps = [c[0] for c in is_walk_regular(g).classes]
     table = _scan_table(d, args.beta_min, args.beta_max, args.step, reps)
     if args.format == "csv":
         sys.stdout.write("\n".join(_csv_lines(table, reps)) + "\n")

@@ -113,11 +113,19 @@ def degree_summary(g: Graph) -> DegreeSummary:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _integer(token: str) -> int:
-    """``int(token)`` if ``token`` matches ``_INTEGER``, else ValueError."""
+def _integer(token: str, lineno: int, what: str) -> int | None:
+    """``int(token)`` if ``token`` matches ``_INTEGER``, else None.
+
+    A match that ``int()`` refuses, longer than ``sys.get_int_max_str_digits()``
+    digits, is an integer out of range: an EdgeListError that names its length.
+    """
     if not _INTEGER.fullmatch(token):
-        raise ValueError(f"not an edge-list integer: {token!r}")
-    return int(token)
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        digits = len(token.lstrip("+-"))
+        raise EdgeListError(f"line {lineno}: {what} with {digits} digits is out of range") from None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -145,12 +153,9 @@ def parse_edge_list(text: str) -> Graph:
             header_allowed = False
             if len(tokens) != 2:
                 raise EdgeListError(f"line {lineno}: expected 'n <count>', got {line!r}")
-            try:
-                declared = _integer(tokens[1])
-            except ValueError:
-                raise EdgeListError(
-                    f"line {lineno}: non-integer vertex count {tokens[1]!r}"
-                ) from None
+            declared = _integer(tokens[1], lineno, "vertex count")
+            if declared is None:
+                raise EdgeListError(f"line {lineno}: non-integer vertex count {tokens[1]!r}")
             if declared < 1:
                 raise EdgeListError(f"line {lineno}: vertex count must be positive")
             continue
@@ -159,12 +164,9 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(
                 f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens"
             )
-        try:
-            u, v = _integer(tokens[0]), _integer(tokens[1])
-        except ValueError:
-            raise EdgeListError(
-                f"line {lineno}: non-integer vertex id in {line!r}"
-            ) from None
+        u, v = (_integer(token, lineno, "vertex id") for token in tokens)
+        if u is None or v is None:
+            raise EdgeListError(f"line {lineno}: non-integer vertex id in {line!r}")
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at vertex {u}")
         if u < 0 or v < 0:

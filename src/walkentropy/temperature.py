@@ -17,7 +17,7 @@ below it, exactly; only the other classes are compared pair by pair.
 
 Two details guard the endpoints.  As beta -> 0+ every difference tends to
 0 (exp(0) = I), so the sign at 0+ comes from the first differing exact
-walk count of the pair (one sort of the class profiles in tuple order
+walk count of the pair (``walks`` sorts the classes by walk profile, which
 gives every pair's sign), and a grid node whose difference is round-off
 repeats the last resolved sign; beta = 0 itself is excluded, every graph
 being trivially maximal there.  The scan covers (0, beta_max] only: a
@@ -37,12 +37,7 @@ import numpy as np
 from .entropy import _check_finite, _row_spreads, _scan_betas
 from .graphs import Graph, degree_summary
 from .spectral import SpectralDecomposition, _centrality_rows, _exp_rows, eigendecompose
-from .walks import (
-    WalkRegularityVerdict,
-    _certified_length,
-    _verdict,
-    closed_walk_table,
-)
+from .walks import WalkRegularityVerdict, _decide
 
 __all__ = [
     "CROSSING_SPREAD_TOL",
@@ -292,10 +287,11 @@ def _scan(
 ) -> tuple[WalkRegularityVerdict, CrossingScan]:
     """Shared body of :func:`find_crossings` and :func:`verify_counterexample`.
 
-    Builds the exact walk table once and the eigendecomposition at most once
-    (not at all when the graph is walk-regular).  The certifier's own
-    ``eigvalsh`` (about 13 us at n = 14) stays: one shared ``eigh`` would
-    charge walk-regular graphs for eigenvectors the table makes needless.
+    Takes the verdict and the 0+ class order from one exact walk table and
+    builds the eigendecomposition at most once (not at all when the graph is
+    walk-regular).  The certifier's own ``eigvalsh`` (about 13 us at n = 14)
+    stays: one shared ``eigh`` would charge walk-regular graphs for
+    eigenvectors the table makes needless.
     Warnings point at the caller of the public function.
     """
     limits = {"beta_max": beta_max, "grid_step": grid_step, "spread_tol": spread_tol}
@@ -304,19 +300,15 @@ def _scan(
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
 
-    table = closed_walk_table(g, _certified_length(g))
-    verdict = _verdict(table)
-    classes = verdict.classes
+    verdict, ordered = _decide(g)
     if verdict.is_walk_regular:
-        return verdict, CrossingScan(True, classes, (), (), ())
+        return verdict, CrossingScan(True, verdict.classes, (), (), ())
 
     d = eigendecompose(g)
     # fail fast: the trace and every f_i increase with beta >= 0, so the
     # row at beta_max covers the grid before any grid is built
     _exp_rows(d, np.array([beta_max], dtype=float))
-    reps = [c[0] for c in classes]
-    # 0+ order: f_a < f_b as beta -> 0+ exactly when a's walk profile is the smaller tuple
-    ordered = sorted(reps, key=table.diag.__getitem__)
+    reps = [c[0] for c in verdict.classes]
 
     betas = _scan_betas(0.0, beta_max, grid_step)
     if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
@@ -361,7 +353,7 @@ def _scan(
             else:
                 pairwise.append(PairwiseCrossing(beta_star, pair, spread))
 
-    scan = CrossingScan(False, classes, tuple(crossings), tuple(pairwise), tuple(notes))
+    scan = CrossingScan(False, verdict.classes, tuple(crossings), tuple(pairwise), tuple(notes))
     return verdict, scan
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "WalkRegularityWitness",
     "WalkRegularityVerdict",
     "closed_walk_table",
-    "vertex_classes",
     "is_walk_regular",
 ]
 
@@ -72,7 +71,8 @@ class WalkRegularityVerdict:
 
     ``witness`` names the first length at which two vertices disagree
     (absent when walk-regular); ``classes`` partitions the vertices by
-    their full closed-walk profile, ordered by smallest member.
+    their full closed-walk profile, ordered by smallest member.  A class
+    has the same count at every length, so one centrality function.
     """
 
     is_walk_regular: bool
@@ -220,9 +220,9 @@ def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:
     """Walk-regularity verdict from a table over lengths 0..L.
 
     ``table.L`` must be a length that decides every length, n - 1 or the
-    certified :func:`_certified_length`.
-    The witness is the first length at which a vertex disagrees with
-    vertex 0; classes group vertices by profile, smallest member first.
+    certified :func:`_certified_length`.  The witness is the first length
+    at which a vertex disagrees with vertex 0; classes group vertices by
+    profile, smallest member first.
     """
     first = table.diag[0]
     witness = next(
@@ -242,15 +242,14 @@ def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:
     return WalkRegularityVerdict(witness is None, witness, classes)
 
 
-def vertex_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Partition vertices by their closed-walk profile over lengths 0..L.
-
-    L is the certified table length, at most n - 1.  Vertices in the same
-    class have identical walk counts at *every* length (profiles up to
-    kappa - 1 determine all higher powers), hence identical
-    subgraph-centrality functions of beta.
+def _decide(g: Graph) -> tuple[WalkRegularityVerdict, list[int]]:
+    """The verdict, and the class representatives sorted by walk profile:
+    their beta -> 0+ order, as f_a - f_b takes the sign of the first
+    differing walk count.
     """
-    return is_walk_regular(g).classes
+    table = closed_walk_table(g, _certified_length(g))
+    verdict = _verdict(table)
+    return verdict, sorted([c[0] for c in verdict.classes], key=table.diag.__getitem__)
 
 
 def is_walk_regular(g: Graph) -> WalkRegularityVerdict:
@@ -261,4 +260,4 @@ def is_walk_regular(g: Graph) -> WalkRegularityVerdict:
     module docstring).  Reports the first violated length with a
     differing vertex pair.
     """
-    return _verdict(closed_walk_table(g, _certified_length(g)))
+    return _decide(g)[0]

@@ -27,7 +27,7 @@ from walkentropy.temperature import (
     PairwiseCrossing,
     _scan_pair,
 )
-from walkentropy.walks import closed_walk_table, vertex_classes
+from walkentropy.walks import closed_walk_table, is_walk_regular
 
 #: Two disjoint K4: exp(3*beta) stays below the double range up to
 #: beta = 236.59, but the trace 2*exp(3*beta) + 6*exp(-beta) overflows
@@ -187,7 +187,7 @@ def all_pairs_scan(
     root is checked with its own ``centrality_diagonal`` call.
     Returns the scan and each pair's ``_scan_pair`` result, in pair order.
     """
-    classes = vertex_classes(g)
+    classes = is_walk_regular(g).classes
     if len(classes) == 1:
         return CrossingScan(True, classes, (), (), ()), {}
     profiles = bigint_closed_walk_table(g, g.n - 1)

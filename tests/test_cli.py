@@ -16,10 +16,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import walkentropy
-from conftest import TWO_K4, TWO_K4_K2, complete_graph
+from conftest import TWO_K4, TWO_K4_K2, cartesian_product, complete_graph, path_graph
 from walkentropy import cli, entropy, graphs, spectral, temperature, walks
 from walkentropy.cli import _round_floats, _write_scan_json, main
-from walkentropy.graphs import parse_edge_list, serialize_edge_list
+from walkentropy.graphs import hm_graph, parse_edge_list, serialize_edge_list
 
 
 def run(capsys, *argv):
@@ -350,6 +350,20 @@ class TestFindCrossings:
         assert code == 0
         assert "no maximal-entropy temperatures" in out
 
+    def test_pairwise_only_lines(self, capsys, monkeypatch):
+        # HM(4)□P3: hub and clique cross in each P3 layer, but the P3 centre
+        # and ends still differ there, so both roots are pairwise-only
+        g = cartesian_product(hm_graph(4), path_graph(3))
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_edge_list(g)))
+        code, out, _ = run(capsys, "find-crossings", "-")
+        assert code == 0
+        assert out.splitlines() == [
+            "walk-regular: false",
+            "no maximal-entropy temperatures found in (0, 10]",
+            "pairwise-only: beta = 0.499001412933  pair = (0, 12)  spread = 0.110617",
+            "pairwise-only: beta = 1.91202350518  pair = (0, 12)  spread = 0.609432",
+        ]
+
     @pytest.mark.parametrize("command", ["find-crossings", "verify-counterexample"])
     def test_trace_overflow_at_beta_max_is_computation_error(self, command):
         # a fresh process, so a numpy RuntimeWarning would reach stderr
@@ -490,6 +504,22 @@ def test_closed_stdout_exits_141_silently(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_closed_reader_of_large_output_exits_141_silently():
+    # about 380 kB of CSV, more than a pipe buffer holds; the reader closes
+    # its end without reading any of it
+    argv = ("scan", "--hm", "4", "--beta-max", "4", "--step", "0.001", "--format", "csv")
+    src = str(Path(walkentropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "walkentropy.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 class TestToleranceDefaults:

@@ -39,7 +39,7 @@ from walkentropy.spectral import (
     centrality_diagonal,
     eigendecompose,
 )
-from walkentropy.walks import is_walk_regular, vertex_classes
+from walkentropy.walks import is_walk_regular
 
 SAMPLED_BETAS = (0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -296,7 +296,7 @@ class TestScanWorkCounts:
     def test_cli_entropy_csv_is_the_scan_table_row(self, g, beta):
         d = eigendecompose(g)
         beta = min(beta, 700.0 / max(1.0, float(d.eigenvalues[0])))
-        reps = [c[0] for c in vertex_classes(g)]
+        reps = [c[0] for c in is_walk_regular(g).classes]
         expected = _csv_lines(_scan_table(d, beta, beta, 1.0, reps), reps)
         out = io.StringIO()
         with mock.patch("sys.stdin", io.StringIO(serialize_edge_list(g))):
@@ -338,7 +338,7 @@ class TestBatchedScanIsPerPoint:
         d = eigendecompose(g)
         # stay below the overflow of the trace, log n + beta * lambda_max
         beta_max = min(beta_min + steps * step, 700.0 / max(1.0, float(d.eigenvalues[0])))
-        reps = [c[0] for c in vertex_classes(g)]
+        reps = [c[0] for c in is_walk_regular(g).classes]
         rows = _scan_table(d, beta_min, beta_max, step, reps).tolist()
         oracle = per_point_scan(d, beta_min, beta_max, step, MAXIMALITY_TOL)
         assert len(rows) == len(oracle)
@@ -367,7 +367,7 @@ class TestScanCsv:
     def test_column_order_and_formatting(self):
         g = hm_graph(4)
         d = eigendecompose(g)
-        reps = [c[0] for c in vertex_classes(g)]
+        reps = [c[0] for c in is_walk_regular(g).classes]
         lines = _csv_lines(_scan_table(d, 0.0, 0.02, 0.01, reps), reps)
         assert lines[0] == "beta,entropy,max_entropy,deficit,spread,f_v0,f_v4"
         assert len(lines) == 4
@@ -379,7 +379,7 @@ class TestScanCsv:
     def test_round_trips_at_twelve_digits(self):
         g = star_graph(3)
         d = eigendecompose(g)
-        reps = [c[0] for c in vertex_classes(g)]
+        reps = [c[0] for c in is_walk_regular(g).classes]
         lines = _csv_lines(_scan_table(d, 0.0, 1.0, 0.25, reps), reps)
         for line in lines[1:]:
             cells = [float(c) for c in line.split(",")]

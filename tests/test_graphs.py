@@ -1,5 +1,7 @@
 """Graph construction, edge-list I/O, and the hub-matching family."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,10 @@ from walkentropy.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
+
+#: int()'s limit on decimal digits; 0 means none (and before Python 3.10.7
+#: there was none)
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestGraph:
@@ -108,6 +114,30 @@ class TestParseEdgeList:
         # int() accepts each of these tokens
         with pytest.raises(EdgeListError, match=message):
             parse_edge_list(text)
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() has no digit limit")
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ("0 {}\n", "line 1: vertex id with {} digits is out of range"),
+            ("n {}\n", "line 1: vertex count with {} digits is out of range"),
+        ],
+        ids=["vertex-id", "header"],
+    )
+    def test_integer_too_long_for_int_is_out_of_range(self, template, message):
+        # the message gives the length, not the token
+        digits = INT_MAX_STR_DIGITS + 1
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(template.format("9" * digits))
+        assert str(info.value) == message.format(digits)
+
+    def test_header_takes_one_count(self):
+        with pytest.raises(EdgeListError, match="line 1: expected 'n <count>', got 'n 3 4'"):
+            parse_edge_list("n 3 4\n")
+
+    def test_header_count_must_be_positive(self):
+        with pytest.raises(EdgeListError, match="line 1: vertex count must be positive"):
+            parse_edge_list("n 0\n")
 
     def test_signed_ascii_tokens_keep_their_meaning(self):
         assert parse_edge_list("n +3\n+0 01\n") == Graph(3, frozenset({(0, 1)}))

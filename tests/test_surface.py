@@ -57,7 +57,6 @@ PUBLIC_API = [
     "parse_edge_list",
     "serialize_edge_list",
     "verify_counterexample",
-    "vertex_classes",
     "walk_entropy",
 ]
 

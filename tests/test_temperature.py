@@ -43,7 +43,7 @@ from walkentropy.temperature import (
     find_crossings,
     verify_counterexample,
 )
-from walkentropy.walks import vertex_classes
+from walkentropy.walks import is_walk_regular
 
 # bisection results at bracket width 1e-12, frozen for regression; the
 # external anchors are 0.499 and 1.912 at 5e-3
@@ -151,6 +151,18 @@ class TestFindCrossings:
             assert class_difference(d, 0, 4, beta) < 0.0
         for beta in np.linspace(1.93, 10.0, 25):
             assert class_difference(d, 0, 4, beta) > 0.0
+
+    @pytest.mark.parametrize(
+        "beta_max, roots", [(1.9125, [H4_ROOT_LOW, H4_ROOT_HIGH]), (1.912, [H4_ROOT_LOW])]
+    )
+    def test_root_in_the_short_last_cell(self, beta_max, roots):
+        # the step does not divide beta_max, so the last cell is (1.91, beta_max]
+        # and only the appended node beta_max reaches it; the second root,
+        # 1.912024, lies in that cell for 1.9125 and beyond beta_max for 1.912
+        scan = find_crossings(hm_graph(4), beta_max=beta_max, grid_step=0.01)
+        assert [c.beta_star for c in scan.crossings] == pytest.approx(roots, abs=1e-9)
+        assert all(c.bracket[0] > 1.91 for c in scan.crossings[1:])
+        assert (scan.pairwise_only, scan.warnings) == ((), ())
 
     def test_walk_regular_marker(self):
         scan = find_crossings(complete_graph(5))
@@ -331,18 +343,19 @@ class TestWorkCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        for module, name in (
-            (walkentropy.walks, "closed_walk_table"),
-            (walkentropy.spectral, "eigendecompose"),
+        # walks calls its own table; temperature holds its own eigendecompose
+        for modules, name in (
+            ((walkentropy.walks,), "closed_walk_table"),
+            ((walkentropy.spectral, walkentropy.temperature), "eigendecompose"),
         ):
-            real = getattr(module, name)
+            real = getattr(modules[0], name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
-            monkeypatch.setattr(walkentropy.temperature, name, counted)
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
         return counts
 
     @pytest.fixture
@@ -421,13 +434,13 @@ class TestWorkCounts:
 
     def test_hm4_table_stops_at_certified_length(self, counts, monkeypatch):
         lengths = []
-        counted = walkentropy.temperature.closed_walk_table
+        counted = walkentropy.walks.closed_walk_table
 
         def recorded(g, L):
             lengths.append(L)
             return counted(g, L)
 
-        monkeypatch.setattr(walkentropy.temperature, "closed_walk_table", recorded)
+        monkeypatch.setattr(walkentropy.walks, "closed_walk_table", recorded)
         verify_counterexample(hm_graph(4))
         assert counts == {"closed_walk_table": 1, "eigendecompose": 1}
         assert lengths == [5]
@@ -537,7 +550,7 @@ class TestIdlePairScreen:
         monkeypatch.setattr(walkentropy.temperature, "_busy_pairs", all_pairs)
         monkeypatch.setattr(walkentropy.temperature, "_scan_pair", recorded)
         for g in [*corpus, *SCREEN_GRAPHS.values(), star_graph(3), path_graph(3)]:
-            reps = [c[0] for c in vertex_classes(g)]
+            reps = [c[0] for c in is_walk_regular(g).classes]
             low_high.clear()
             find_crossings(g, beta_max=0.1, grid_step=0.05)
             pairs = sorted(tuple(sorted(p)) for p in low_high)
@@ -555,7 +568,7 @@ class TestDominance:
     def test_h4_hub_class_leads(self):
         g = hm_graph(4)
         d = eigendecompose(g)
-        assert [c[0] for c in vertex_classes(g)] == [0, 4]  # hub, clique
+        assert [c[0] for c in is_walk_regular(g).classes] == [0, 4]  # hub, clique
         for beta in self.LARGE_BETAS:
             assert class_difference(d, 0, 4, beta) > 0.0
 

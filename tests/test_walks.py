@@ -18,17 +18,18 @@ from conftest import (
     petersen_graph,
     random_connected_graph,
     star_graph,
+    zero_plus_sign,
 )
 import walkentropy.walks as walks
 from walkentropy.graphs import Graph, degree_summary, hm_graph
 from walkentropy.walks import (
     ExactWalkTable,
     _certified_length,
+    _decide,
     _moduli,
     _verdict,
     closed_walk_table,
     is_walk_regular,
-    vertex_classes,
 )
 
 
@@ -244,17 +245,17 @@ class TestVerdicts:
 
 class TestVertexClasses:
     def test_h4_two_classes(self):
-        assert vertex_classes(hm_graph(4)) == (
+        assert is_walk_regular(hm_graph(4)).classes == (
             tuple(range(4)),
             tuple(range(4, 24)),
         )
 
     def test_complete_graph_single_class(self):
         for n in (2, 5, 8):
-            assert vertex_classes(complete_graph(n)) == (tuple(range(n)),)
+            assert is_walk_regular(complete_graph(n)).classes == (tuple(range(n)),)
 
     def test_path_center_vs_leaves(self):
-        assert vertex_classes(path_graph(3)) == ((0, 2), (1,))
+        assert is_walk_regular(path_graph(3)).classes == ((0, 2), (1,))
 
     def test_single_class_iff_walk_regular(self, corpus):
         for g in corpus:
@@ -285,3 +286,25 @@ class TestVertexClasses:
     def test_classes_ordered_by_representative(self):
         classes = is_walk_regular(star_graph(3)).classes
         assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+
+class TestZeroPlusOrder:
+    """``_decide`` returns the representatives in their beta -> 0+ order."""
+
+    @staticmethod
+    def check(g):
+        verdict, ordered = _decide(g)
+        assert verdict == is_walk_regular(g)
+        assert sorted(ordered) == [c[0] for c in verdict.classes]
+        profiles = bigint_closed_walk_table(g, g.n - 1)
+        for lo, hi in itertools.combinations(ordered, 2):
+            assert zero_plus_sign(profiles, hi, lo) == 1
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            self.check(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_random_graphs(self, g):
+        self.check(g)
