@@ -220,9 +220,9 @@ def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:
     """Walk-regularity verdict from a table over lengths 0..L.
 
     ``table.L`` must be a length that decides every length, n - 1 or the
-    certified :func:`_certified_length`.  The witness is the first length
-    at which a vertex disagrees with vertex 0; classes group vertices by
-    profile, smallest member first.
+    certified :func:`_certified_length`.
+    The witness is the first length at which a vertex disagrees with
+    vertex 0; classes group vertices by profile, smallest member first.
     """
     first = table.diag[0]
     witness = next(
@@ -243,9 +243,9 @@ def _verdict(table: ExactWalkTable) -> WalkRegularityVerdict:
 
 
 def _decide(g: Graph) -> tuple[WalkRegularityVerdict, list[int]]:
-    """The verdict, and the class representatives sorted by walk profile:
-    their beta -> 0+ order, as f_a - f_b takes the sign of the first
-    differing walk count.
+    """The verdict and the class representatives sorted by walk profile.
+
+    That is their beta -> 0+ order: f_a - f_b has the sign of the first differing count.
     """
     table = closed_walk_table(g, _certified_length(g))
     verdict = _verdict(table)
