@@ -13,18 +13,19 @@ hub-matching graph in-process.  All numerical work lives in the library;
 this module only parses flags, dispatches, and formats.
 
 Exit status: 0 success, 1 usage or input error, 2 computation error
-(overflow, eigensolver failure, a grid too large to build), 141 (128 +
-SIGPIPE) when the reader closes stdout before the output is written, with
-nothing on stderr.  Output is
+(overflow, eigensolver failure, a grid or adjacency matrix too large to
+build), 141 (128 + SIGPIPE) when the reader closes stdout before the output
+is written, buffered or not, with nothing on stderr.  Output is
 deterministic: machine formats carry 12 significant digits, human output 6;
-warnings go to stderr.  CSV
-values are ``'%.12g' % x`` and human values ``'%.6g' % x``; a JSON number
-is ``repr(float('%.12g' % x))``, as ``json.dumps`` prints the rounded float.
+warnings go to stderr.  CSV values are ``'%.12g' % x`` and human values
+``'%.6g' % x``; a JSON number is ``repr(float('%.12g' % x))``, as
+``json.dumps`` prints the rounded float.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import MAXIMALITY_TOL, _csv_lines, _scan_table, walk_entropy
+from .entropy import MAXIMALITY_TOL, _scan_table, walk_entropy
 from .graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
@@ -43,7 +44,7 @@ from .spectral import (
 from .temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
 from .walks import is_walk_regular
 
-# MemoryError: a grid too large to build, e.g. --step 1e-12
+# MemoryError: a grid or an adjacency matrix too large to build, e.g. --step 1e-12
 _COMPUTATION_ERRORS = (CentralityOverflowError, EigendecompositionError, MemoryError)
 
 
@@ -102,6 +103,19 @@ def _round_floats(obj):
 
 def _print_json(doc) -> None:
     print(json.dumps(_round_floats(doc), indent=2))
+
+
+def _csv_lines(table: np.ndarray, class_reps: list[int]) -> list[str]:
+    """Header and one ``%.12g`` row per row of a scan table.
+
+    Column order is fixed: beta, entropy, max_entropy, deficit, spread,
+    then one centrality column per vertex-class representative.
+    """
+    header = "beta,entropy,max_entropy,deficit,spread" + "".join(
+        f",f_v{r}" for r in class_reps
+    )
+    row = ",".join(["%.12g"] * table.shape[1])
+    return [header] + [row % tuple(cells) for cells in table.tolist()]
 
 
 def _load_graph(args) -> Graph:
@@ -373,6 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # unbuffered stdout (python -u, PYTHONUNBUFFERED): a raw write into a
+        # pipe whose reader has gone may be short, and TextIOWrapper drops the
+        # rest unnoticed; a BufferedWriter writes on and meets the broken pipe
+        raw = io.FileIO(stdout.fileno(), "w", closefd=False)
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(raw), stdout.encoding, stdout.errors, line_buffering=True
+        )
     try:
         try:
             code = args.func(args)
@@ -385,9 +408,13 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: end as a writer killed by SIGPIPE would,
-        # silently; what is still buffered goes to devnull at exit
+        # silently; what is still buffered then goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    finally:
+        if sys.stdout is not stdout:
+            buffered, sys.stdout = sys.stdout, stdout
+            buffered.close()  # fd 1 stays open: this FileIO does not own it
     return code
 
 

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    CentralityDiagonal,
-    SpectralDecomposition,
-    _centrality_rows,
-    centrality_diagonal,
-)
+from .spectral import SpectralDecomposition, _centrality_rows
 
 __all__ = [
     "MAXIMALITY_TOL",
     "EntropyReport",
-    "entropy_from_diagonal",
     "walk_entropy",
 ]
 
@@ -84,41 +78,36 @@ def _row_entropies(
     return p, entropies, spreads
 
 
-def entropy_from_diagonal(
-    cd: CentralityDiagonal, tol: float = MAXIMALITY_TOL
+def walk_entropy(
+    d: SpectralDecomposition, beta: float, tol: float = MAXIMALITY_TOL
 ) -> EntropyReport:
-    """Entropy report from an already-evaluated diagonal of exp(beta*A).
+    """Walk entropy at temperature beta (natural-log units); -0.0 reads as 0.0.
 
     Maximal means a relative spread at most ``tol``, a finite float > 0.
+    The scan table's evaluation at one beta: each field is bitwise its cell.
     """
+    _check_finite(beta=beta)
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     _check_finite(tol=tol)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    values = np.asarray(cd.values, dtype=float)[None, :]
-    p, entropies, spreads = _row_entropies(values, np.array([cd.trace]))
+    # + 0.0 turns -0.0 into 0.0, as the scan grid's beta_min + 0 * step does
+    beta += 0.0
+    values, traces = _centrality_rows(d, np.array([beta], dtype=float))
+    p, entropies, spreads = _row_entropies(values, traces)
     max_entropy = math.log(p.shape[1])
     entropy, spread = float(entropies[0]), float(spreads[0])
     return EntropyReport(
-        beta=float(cd.beta),
+        beta=float(beta),
         entropy=entropy,
         max_entropy=max_entropy,
         deficit=max_entropy - entropy,
         probabilities=p[0],
-        trace=float(cd.trace),
+        trace=float(traces[0]),
         spread=spread,
         is_maximal=spread <= tol,
     )
-
-
-def walk_entropy(
-    d: SpectralDecomposition, beta: float, tol: float = MAXIMALITY_TOL
-) -> EntropyReport:
-    """Walk entropy at temperature beta (natural-log units); -0.0 reads as 0.0."""
-    _check_finite(beta=beta)
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    # + 0.0 turns -0.0 into 0.0, as the scan grid's beta_min + 0 * step does
-    return entropy_from_diagonal(centrality_diagonal(d, beta + 0.0), tol)
 
 
 def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:
@@ -164,15 +153,3 @@ def _scan_table(
         p[:, class_reps] * traces[:, None],
     ))
 
-
-def _csv_lines(table: np.ndarray, class_reps: list[int]) -> list[str]:
-    """Header and one ``%.12g`` row per row of a scan table.
-
-    Column order is fixed: beta, entropy, max_entropy, deficit, spread,
-    then one centrality column per vertex-class representative.
-    """
-    header = "beta,entropy,max_entropy,deficit,spread" + "".join(
-        f",f_v{r}" for r in class_reps
-    )
-    row = ",".join(["%.12g"] * table.shape[1])
-    return [header] + [row % tuple(cells) for cells in table.tolist()]

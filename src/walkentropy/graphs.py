@@ -84,12 +84,19 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix with zero diagonal, built on
-        first use and then shared: it is read-only, so copy it to mutate."""
+        first use and then shared: it is read-only, so copy it to mutate.
+        MemoryError if numpy refuses the n x n array, too large to allocate or index."""
         return self._adjacency
 
     @cached_property  # unlocked from Python 3.12: a race builds equal copies
     def _adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
+        try:
+            a = np.zeros((self.n, self.n))
+        except (MemoryError, ValueError):  # ValueError: past numpy's dimension limit
+            digits = len(str(self.n))
+            raise MemoryError(
+                f"adjacency matrix for a vertex count with {digits} digits is too large"
+            ) from None
         for u, v in self.edges:
             a[u, v] = a[v, u] = 1.0
         a.flags.writeable = False

@@ -29,11 +29,9 @@ from .graphs import Graph
 
 __all__ = [
     "SpectralDecomposition",
-    "CentralityDiagonal",
     "EigendecompositionError",
     "CentralityOverflowError",
     "eigendecompose",
-    "centrality_diagonal",
 ]
 
 #: Residual bound for accepted eigenpairs: ||A u - lambda u|| <= tol * max(1, ||A||_2).
@@ -64,15 +62,6 @@ class SpectralDecomposition:
     weights: np.ndarray  # (n, n); weights[i, k] = u_{k,i}^2
     distinct_eigenvalues: np.ndarray  # (kappa,), descending cluster means
     grouped_weights: np.ndarray  # (n, kappa)
-
-
-@dataclass(frozen=True, eq=False)
-class CentralityDiagonal:
-    """Diagonal of exp(beta*A) plus its trace at a single beta."""
-
-    beta: float
-    values: np.ndarray  # (n,); values[i] = [exp(beta*A)]_{ii}
-    trace: float
 
 
 def _cluster_starts(lam: np.ndarray) -> list[int]:
@@ -175,8 +164,3 @@ def _centrality_rows(
         raise CentralityOverflowError(_TRACE_OVERFLOW.format(betas[int(finite.argmin())]))
     return values, traces
 
-
-def centrality_diagonal(d: SpectralDecomposition, beta: float) -> CentralityDiagonal:
-    """Diagonal of exp(beta*A) and its trace, via the eigendecomposition."""
-    values, traces = _centrality_rows(d, np.array([beta], dtype=float))
-    return CentralityDiagonal(float(beta), values[0], float(traces[0]))

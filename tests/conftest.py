@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,12 +14,7 @@ from hypothesis import strategies as st
 from walkentropy.cli import _round_floats
 from walkentropy.entropy import EntropyReport
 from walkentropy.graphs import Graph
-from walkentropy.spectral import (
-    CentralityDiagonal,
-    SpectralDecomposition,
-    centrality_diagonal,
-    eigendecompose,
-)
+from walkentropy.spectral import SpectralDecomposition, _centrality_rows, eigendecompose
 from walkentropy.temperature import (
     CROSSING_SPREAD_TOL,
     DEDUPE_TOL,
@@ -168,6 +164,33 @@ def zero_plus_sign(profiles: tuple[tuple[int, ...], ...], i: int, j: int) -> int
     return 1 if x > y else -1
 
 
+class Diagonal(NamedTuple):
+    """Diagonal of exp(beta*A) and its trace at one beta."""
+
+    values: np.ndarray  # (n,); values[i] = [exp(beta*A)]_{ii}
+    trace: float
+
+
+def centrality(d: SpectralDecomposition, beta: float) -> Diagonal:
+    """The diagonal of exp(beta*A) and its trace: one row of ``_centrality_rows``."""
+    values, traces = _centrality_rows(d, np.array([beta], dtype=float))
+    return Diagonal(values[0], float(traces[0]))
+
+
+def plain_entropy(values: np.ndarray) -> tuple[float, float]:
+    """Entropy and relative spread of the distribution proportional to
+    ``values``, by the plain formulas: p = v / sum(v), -sum(p log p) over
+    p > 0, and (max v - min v) / mean v.
+
+    The reference for the library's entropy evaluation: it shares no code
+    with it.
+    """
+    v = [float(x) for x in values]
+    total = math.fsum(v)
+    entropy = -math.fsum(x / total * math.log(x / total) for x in v if x > 0.0)
+    return entropy, (max(v) - min(v)) / (total / len(v))
+
+
 def class_difference(d: SpectralDecomposition, i: int, j: int, beta: float) -> float:
     """f_i(beta) - f_j(beta) from the spectral weights at one beta.
 
@@ -184,7 +207,7 @@ def all_pairs_scan(
 
     The reference for the idle-pair screen: no pair is skipped, each 0+
     sign comes from ``bigint_closed_walk_table`` at length n - 1, and each
-    root is checked with its own ``centrality_diagonal`` call.
+    root is checked with its own one-beta diagonal, :func:`centrality`.
     Returns the scan and each pair's ``_scan_pair`` result, in pair order.
     """
     classes = is_walk_regular(g).classes
@@ -217,7 +240,7 @@ def all_pairs_scan(
             merged.append(cand)
     crossings, pairwise = [], []
     for beta_star, lo, hi, pair in merged:
-        v = centrality_diagonal(d, beta_star).values
+        v = centrality(d, beta_star).values
         spread = float((v.max() - v.min()) / v.mean())
         if spread <= CROSSING_SPREAD_TOL:
             values = tuple(float(v[r]) for r in reps)
@@ -253,7 +276,7 @@ def taylor_required_terms(beta: float, max_degree: int) -> int:
 
 def taylor_diagonal_oracle(
     g: Graph, beta: float, terms: int | None = None
-) -> CentralityDiagonal:
+) -> Diagonal:
     """Diagonal of exp(beta*A) from exact walk counts: sum of beta^l/l! * [A^l]_{ii}.
 
     The reference for the spectral route: it shares no code with the
@@ -278,7 +301,7 @@ def taylor_diagonal_oracle(
         if length:
             coef *= beta / length
         values += coef * np.array([row[length] for row in table.diag], dtype=float)
-    return CentralityDiagonal(float(beta), values, float(values.sum()))
+    return Diagonal(values, float(values.sum()))
 
 
 def per_point_report(d: SpectralDecomposition, beta: float, tol: float) -> EntropyReport:

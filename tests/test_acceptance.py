@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     DEEP_PAIR_TREE,
+    centrality,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -22,7 +23,7 @@ from conftest import (
 )
 from walkentropy.entropy import MAXIMALITY_TOL, walk_entropy
 from walkentropy.graphs import hm_graph
-from walkentropy.spectral import centrality_diagonal, eigendecompose
+from walkentropy.spectral import eigendecompose
 from walkentropy.temperature import find_crossings, verify_counterexample
 from walkentropy.walks import closed_walk_table, is_walk_regular
 
@@ -59,7 +60,7 @@ def test_criterion_1_h4_spectrum():
 
 
 def test_criterion_2_endpoint_values_at_beta_one():
-    cd = centrality_diagonal(eigendecompose(hm_graph(4)), 1.0)
+    cd = centrality(eigendecompose(hm_graph(4)), 1.0)
     assert cd.values[0] == pytest.approx(6.481, abs=5e-3)
     assert cd.values[4] == pytest.approx(7.175, abs=5e-3)
     _passed(
@@ -123,7 +124,7 @@ def test_criterion_6_oracle_equivalence(corpus):
         assert np.abs(d.weights.sum(axis=1) - 1.0).max() <= 1e-10
         terms = taylor_required_terms(2.0, max(g.degrees()))
         for beta in (0.25, 1.0, 2.0):
-            spectral = centrality_diagonal(d, beta)
+            spectral = centrality(d, beta)
             taylor = taylor_diagonal_oracle(g, beta, terms=terms)
             np.testing.assert_allclose(
                 spectral.values, taylor.values, rtol=1e-8, atol=1e-8
@@ -159,7 +160,7 @@ def test_criterion_8_h4_sign_regimes():
     d = eigendecompose(hm_graph(4))
 
     def diff(beta):
-        cd = centrality_diagonal(d, beta)
+        cd = centrality(d, beta)
         return cd.values[0] - cd.values[4]
 
     for beta in np.linspace(0.005, 0.49, 40):

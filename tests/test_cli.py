@@ -155,6 +155,40 @@ class TestEntropy:
         assert (code, out) == (2, "")
         assert "trace of exp(beta*A) overflows double precision at beta=236.45" in err
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("no-convergence", "eigensolver did not converge: no convergence"),
+            ("perturbed-vector", "eigenpair residual .* exceeds 1e-10"),
+            ("scaled-vector", "eigenvector basis is not orthonormal"),
+        ],
+    )
+    def test_eigensolver_failure_is_computation_error(self, capsys, monkeypatch, fault, message):
+        real = np.linalg.eigh
+
+        def eigh(a):
+            if fault == "no-convergence":
+                raise np.linalg.LinAlgError("no convergence")
+            lam, u = real(a)
+            if fault == "perturbed-vector":
+                u[0, 0] += 1e-3  # off by far more than the residual bound
+            else:
+                u[:, 0] *= 1 + 1e-6  # still an eigenvector, no longer of norm 1
+            return lam, u
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(spectral.EigendecompositionError, match=message):
+            spectral.eigendecompose(hm_graph(4))
+        code, out, err = run(capsys, "entropy", "--hm", "4", "--beta", "1")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"computation error: {message}.*\n", err)
+
+    def test_beta_not_a_number_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--hm", "4", "--beta", "abc"])
+        assert exc.value.code == 1
+        assert "argument --beta: invalid float value: 'abc'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 @pytest.mark.parametrize(
@@ -520,6 +554,45 @@ def test_closed_reader_of_large_output_exits_141_silently():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "PYTHONUNBUFFERED"])
+def test_reader_closing_part_way_exits_141_silently(unbuffered):
+    # the reader takes the first bytes of about 380 kB of CSV, then closes its
+    # end while the program is still writing; unbuffered, that write comes
+    # back short rather than failing, and must still end the run with 141
+    argv = ("scan", "--hm", "4", "--beta-max", "4", "--step", "0.001", "--format", "csv")
+    src = str(Path(walkentropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "walkentropy.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b"beta,entro"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "text, digits",
+    [("0 100000000\n", 9), ("0 " + "1" * 4000 + "\n", 4000)],
+    ids=["71-PiB", "past-numpy-dimension-limit"],
+)
+def test_vertex_count_too_large_for_the_matrix_is_computation_error(
+    capsys, monkeypatch, text, digits
+):
+    # numpy refuses both n x n arrays without allocating: one too large to
+    # allocate (MemoryError), one too large to index (ValueError)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "check-walk-regular", "-")
+    assert (code, out) == (2, "")
+    message = f"adjacency matrix for a vertex count with {digits} digits is too large"
+    assert err == f"computation error: {message}\n"
 
 
 class TestToleranceDefaults:

@@ -11,34 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walkentropy.cli
 import walkentropy.entropy
 import walkentropy.spectral
 from conftest import (
     TWO_K4,
+    centrality,
     complete_graph,
     graphs,
     per_point_report,
     per_point_scan,
     per_point_scan_csv,
     per_point_scan_json,
+    plain_entropy,
     star_graph,
     taylor_diagonal_oracle,
 )
-from walkentropy.cli import main
-from walkentropy.entropy import (
-    MAXIMALITY_TOL,
-    _csv_lines,
-    _row_spreads,
-    _scan_table,
-    entropy_from_diagonal,
-    walk_entropy,
-)
+from walkentropy.cli import _csv_lines, main
+from walkentropy.entropy import MAXIMALITY_TOL, _row_spreads, _scan_table, walk_entropy
 from walkentropy.graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
-from walkentropy.spectral import (
-    CentralityOverflowError,
-    centrality_diagonal,
-    eigendecompose,
-)
+from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.walks import is_walk_regular
 
 SAMPLED_BETAS = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -74,8 +66,9 @@ class TestWalkEntropy:
         report = walk_entropy(eigendecompose(g), 1.0)
         assert report.entropy < math.log(4) - 1e-3
         # independent route: entropy from the exact-walk Taylor diagonal
-        oracle = entropy_from_diagonal(taylor_diagonal_oracle(g, 1.0))
-        assert oracle.entropy == pytest.approx(report.entropy, abs=1e-9)
+        entropy, spread = plain_entropy(taylor_diagonal_oracle(g, 1.0).values)
+        assert entropy == pytest.approx(report.entropy, abs=1e-9)
+        assert spread == pytest.approx(report.spread, abs=1e-9)
 
     def test_bounds_on_corpus(self, corpus):
         for g in corpus[:60]:
@@ -101,8 +94,9 @@ class TestWalkEntropy:
             d = eigendecompose(g)
             for beta in (0.25, 1.0, 2.0):
                 spectral = walk_entropy(d, beta)
-                oracle = entropy_from_diagonal(taylor_diagonal_oracle(g, beta))
-                assert oracle.entropy == pytest.approx(spectral.entropy, abs=1e-9)
+                entropy, spread = plain_entropy(taylor_diagonal_oracle(g, beta).values)
+                assert entropy == pytest.approx(spectral.entropy, abs=1e-9)
+                assert spread == pytest.approx(spectral.spread, abs=1e-9)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +116,7 @@ class TestIsEntropyMaximal:
     def test_h4_at_beta_one(self):
         d = eigendecompose(hm_graph(4))
         assert not walk_entropy(d, 1.0).is_maximal
-        cd = centrality_diagonal(d, 1.0)
+        cd = centrality(d, 1.0)
         assert cd.values.max() - cd.values.min() == pytest.approx(0.6937, abs=1e-3)
 
     def test_complete_graphs_always_maximal(self):
@@ -156,8 +150,9 @@ class TestIsEntropyMaximal:
         d = eigendecompose(complete_graph(4))
         with pytest.raises(ValueError, match=message):
             walk_entropy(d, 1.0, tol=tol)
+        # checked before the evaluation, which overflows at beta = 300
         with pytest.raises(ValueError, match=message):
-            entropy_from_diagonal(centrality_diagonal(d, 1.0), tol)
+            walk_entropy(d, 300.0, tol=tol)
 
 
 # scan-table columns
@@ -223,7 +218,7 @@ class TestTraceOverflow:
         with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.45$"):
             walk_entropy(d, 236.45)
         with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.45$"):
-            centrality_diagonal(d, 236.45)
+            centrality(d, 236.45)
 
     def test_scan_names_the_first_overflowing_trace(self):
         d = eigendecompose(parse_edge_list(TWO_K4))
@@ -257,9 +252,6 @@ class TestScanWorkCounts:
 
     def test_4001_points_in_one_pass(self, monkeypatch):
         counts = _count_calls(monkeypatch, (
-            (walkentropy.spectral, "centrality_diagonal"),
-            (walkentropy.entropy, "centrality_diagonal"),
-            (walkentropy.entropy, "entropy_from_diagonal"),
             (walkentropy.entropy, "walk_entropy"),
             (walkentropy.entropy, "_centrality_rows"),
         ))
@@ -270,7 +262,7 @@ class TestScanWorkCounts:
     @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
     def test_cli_scan_builds_no_reports(self, monkeypatch, fmt):
         counts = _count_calls(monkeypatch, (
-            (walkentropy.spectral, "centrality_diagonal"),
+            (walkentropy.cli, "walk_entropy"),
             (walkentropy.entropy, "_centrality_rows"),
             (walkentropy.entropy, "EntropyReport"),
         ))
@@ -343,7 +335,7 @@ class TestBatchedScanIsPerPoint:
         oracle = per_point_scan(d, beta_min, beta_max, step, MAXIMALITY_TOL)
         assert len(rows) == len(oracle)
         for row, o in zip(rows, oracle):
-            w, cd = walk_entropy(d, o.beta), centrality_diagonal(d, o.beta)
+            w, cd = walk_entropy(d, o.beta), centrality(d, o.beta)
             assert row == _table_row(o, reps) == _table_row(w, reps)
             assert _fields(o) == _fields(w)
             assert np.array_equal(o.probabilities, w.probabilities)
@@ -358,9 +350,12 @@ class TestBatchedScanIsPerPoint:
     def test_single_beta_routes_agree(self, beta):
         d = eigendecompose(hm_graph(4))
         o = per_point_report(d, beta, MAXIMALITY_TOL)
-        for r in (walk_entropy(d, beta), entropy_from_diagonal(centrality_diagonal(d, beta))):
-            assert _fields(r) == _fields(o)
-            assert np.array_equal(r.probabilities, o.probabilities)
+        r = walk_entropy(d, beta)
+        assert _fields(r) == _fields(o)
+        assert np.array_equal(r.probabilities, o.probabilities)
+        # the scan table's one-row grid, with f at every vertex
+        every = list(range(d.weights.shape[0]))
+        assert _scan_table(d, beta, beta, 1.0, every).tolist() == [_table_row(o, every)]
 
 
 class TestScanCsv:

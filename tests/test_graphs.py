@@ -69,6 +69,16 @@ class TestGraph:
         assert np.all(np.diag(a) == 0)
         assert a.sum() == 2 * g.num_edges
 
+    @pytest.mark.parametrize(
+        "n", [10**8 + 1, int("1" * 4000) + 1], ids=["71-PiB", "past-numpy-dimension-limit"]
+    )
+    def test_adjacency_matrix_too_large_is_a_memory_error(self, n):
+        g = Graph(n, frozenset({(0, n - 1)}))
+        digits = len(str(n))
+        message = f"^adjacency matrix for a vertex count with {digits} digits is too large$"
+        with pytest.raises(MemoryError, match=message):
+            g.adjacency_matrix()
+
     def test_adjacency_matrix_built_once_and_read_only(self):
         g = hm_graph(3)
         a = g.adjacency_matrix()

@@ -7,17 +7,14 @@ import pytest
 
 from conftest import (
     InsufficientTermsError,
+    centrality,
     complete_graph,
     path_graph,
     taylor_diagonal_oracle,
     taylor_required_terms,
 )
 from walkentropy.graphs import Graph, hm_graph
-from walkentropy.spectral import (
-    CentralityOverflowError,
-    centrality_diagonal,
-    eigendecompose,
-)
+from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.walks import closed_walk_table
 
 H4_DISTINCT = [
@@ -89,18 +86,18 @@ class TestEigendecompose:
 class TestCentralityDiagonal:
     def test_beta_zero_is_identity(self, corpus):
         for g in corpus[:20]:
-            cd = centrality_diagonal(eigendecompose(g), 0.0)
+            cd = centrality(eigendecompose(g), 0.0)
             np.testing.assert_allclose(cd.values, 1.0, atol=1e-12)
             assert cd.trace == pytest.approx(g.n, abs=1e-10)
 
     def test_triangle_closed_form(self):
         # eigenvalues {2, -1, -1} with uniform weights by vertex-transitivity
-        cd = centrality_diagonal(eigendecompose(complete_graph(3)), 1.0)
+        cd = centrality(eigendecompose(complete_graph(3)), 1.0)
         expected = (math.exp(2) + 2 * math.exp(-1)) / 3
         np.testing.assert_allclose(cd.values, expected, rtol=1e-12)
 
     def test_h4_values_at_beta_one(self):
-        cd = centrality_diagonal(eigendecompose(hm_graph(4)), 1.0)
+        cd = centrality(eigendecompose(hm_graph(4)), 1.0)
         assert cd.values[0] == pytest.approx(6.481, abs=5e-3)
         assert cd.values[4] == pytest.approx(7.175, abs=5e-3)
 
@@ -108,7 +105,7 @@ class TestCentralityDiagonal:
         for g in corpus[:60]:
             d = eigendecompose(g)
             for beta in (0.1, 1.0, 3.0):
-                cd = centrality_diagonal(d, beta)
+                cd = centrality(d, beta)
                 assert cd.values.sum() == pytest.approx(cd.trace, rel=1e-10)
 
     def test_grouped_representation_matches(self, corpus):
@@ -116,7 +113,7 @@ class TestCentralityDiagonal:
         for g in corpus[:40]:
             d = eigendecompose(g)
             for beta in (0.1, 1.0, 3.0):
-                cd = centrality_diagonal(d, beta)
+                cd = centrality(d, beta)
                 grouped = d.grouped_weights @ np.exp(beta * d.distinct_eigenvalues)
                 np.testing.assert_allclose(grouped, cd.values, rtol=1e-9)
 
@@ -124,18 +121,18 @@ class TestCentralityDiagonal:
         for g in corpus[:20]:
             d = eigendecompose(g)
             for beta in (0.0, 0.3, 2.0):
-                assert np.all(centrality_diagonal(d, beta).values >= 1.0 - 1e-12)
+                assert np.all(centrality(d, beta).values >= 1.0 - 1e-12)
 
     def test_overflow_is_explicit(self):
         d = eigendecompose(hm_graph(4))
         with pytest.raises(CentralityOverflowError, match="beta=200"):
-            centrality_diagonal(d, 200.0)
+            centrality(d, 200.0)
 
 
 class TestTaylorOracle:
     def test_agrees_with_spectral_on_h4(self):
         g = hm_graph(4)
-        spectral = centrality_diagonal(eigendecompose(g), 0.5)
+        spectral = centrality(eigendecompose(g), 0.5)
         taylor = taylor_diagonal_oracle(g, 0.5)
         np.testing.assert_allclose(taylor.values, spectral.values, rtol=1e-8)
 
@@ -171,7 +168,7 @@ def test_oracle_equivalence_on_corpus(corpus):
         d = eigendecompose(g)
         terms = taylor_required_terms(2.0, max(g.degrees()))
         for beta in (0.25, 1.0, 2.0):
-            spectral = centrality_diagonal(d, beta)
+            spectral = centrality(d, beta)
             taylor = taylor_diagonal_oracle(g, beta, terms=terms)
             np.testing.assert_allclose(
                 spectral.values, taylor.values, rtol=1e-8, atol=1e-8

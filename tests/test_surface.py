@@ -28,7 +28,6 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 PUBLIC_API = [
     "BRACKET_WIDTH",
     "CROSSING_SPREAD_TOL",
-    "CentralityDiagonal",
     "CentralityOverflowError",
     "CoarseGridWarning",
     "CounterexampleReport",
@@ -46,11 +45,9 @@ PUBLIC_API = [
     "WalkRegularityVerdict",
     "WalkRegularityWitness",
     "__version__",
-    "centrality_diagonal",
     "closed_walk_table",
     "degree_summary",
     "eigendecompose",
-    "entropy_from_diagonal",
     "find_crossings",
     "hm_graph",
     "is_walk_regular",

@@ -414,21 +414,14 @@ class TestWorkCounts:
     )
     def test_walk_regular_takes_no_spectral_work(self, counts, monkeypatch, entry):
         # the exact verdict answers everything for K4, beta = 1 included
-        for name, modules in (
-            ("centrality_diagonal", (walkentropy.spectral, walkentropy.entropy)),
-            (
-                "_centrality_rows",
-                (walkentropy.spectral, walkentropy.entropy, walkentropy.temperature),
-            ),
-        ):
-            real = getattr(walkentropy.spectral, name)
+        real = walkentropy.spectral._centrality_rows
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            counts["_centrality_rows"] += 1
+            return real(*args, **kwargs)
 
-            for module in modules:
-                monkeypatch.setattr(module, name, counted)
+        for module in (walkentropy.spectral, walkentropy.entropy, walkentropy.temperature):
+            monkeypatch.setattr(module, "_centrality_rows", counted)
         entry(complete_graph(4))
         assert counts == {"closed_walk_table": 1}
 

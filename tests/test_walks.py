@@ -194,6 +194,25 @@ class TestCertificateFallback:
             assert _certified_length(g) == g.n - 1
             assert is_walk_regular(g) == full_length_verdict(g)
 
+    @pytest.mark.parametrize("g", FALLBACK_GRAPHS, ids=FALLBACK_IDS)
+    def test_eigensolver_failure(self, monkeypatch, g):
+        expected = is_walk_regular(g)
+        lengths = []
+        real = walks.closed_walk_table
+
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        def recorded(graph, L):
+            lengths.append(L)
+            return real(graph, L)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        monkeypatch.setattr(walks, "closed_walk_table", recorded)
+        assert _certified_length(g) == g.n - 1
+        assert is_walk_regular(g) == expected
+        assert lengths == [g.n - 1]  # 23 for HM(4)
+
     def test_huge_coefficient_skips_the_check(self, monkeypatch):
         g = hm_graph(4)
         real = np.poly
