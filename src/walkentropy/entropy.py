@@ -152,4 +152,3 @@ def _scan_table(
         spreads,
         p[:, class_reps] * traces[:, None],
     ))
-

@@ -85,7 +85,8 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix with zero diagonal, built on
         first use and then shared: it is read-only, so copy it to mutate.
-        MemoryError if numpy refuses the n x n array, too large to allocate or index."""
+        MemoryError if numpy refuses the n x n array as too large to
+        allocate or to index."""
         return self._adjacency
 
     @cached_property  # unlocked from Python 3.12: a race builds equal copies
@@ -93,7 +94,11 @@ class Graph:
         try:
             a = np.zeros((self.n, self.n))
         except (MemoryError, ValueError):  # ValueError: past numpy's dimension limit
-            digits = len(str(self.n))
+            # Decimal counts the digits of any int; str() refuses one longer
+            # than sys.get_int_max_str_digits()
+            from decimal import Decimal
+
+            digits = Decimal(self.n).adjusted() + 1
             raise MemoryError(
                 f"adjacency matrix for a vertex count with {digits} digits is too large"
             ) from None

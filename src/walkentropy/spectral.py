@@ -163,4 +163,3 @@ def _centrality_rows(
     if not finite.all():
         raise CentralityOverflowError(_TRACE_OVERFLOW.format(betas[int(finite.argmin())]))
     return values, traces
-

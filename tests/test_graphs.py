@@ -70,11 +70,13 @@ class TestGraph:
         assert a.sum() == 2 * g.num_edges
 
     @pytest.mark.parametrize(
-        "n", [10**8 + 1, int("1" * 4000) + 1], ids=["71-PiB", "past-numpy-dimension-limit"]
+        "n, digits",
+        [(10**8 + 1, 9), (int("1" * 4000) + 1, 4000), (10**5000 - 1, 5000)],
+        ids=["71-PiB", "past-numpy-dimension-limit", "past-int-str-limit"],
     )
-    def test_adjacency_matrix_too_large_is_a_memory_error(self, n):
+    def test_adjacency_matrix_too_large_is_a_memory_error(self, n, digits):
+        # the last n has more digits than str() converts by default
         g = Graph(n, frozenset({(0, n - 1)}))
-        digits = len(str(n))
         message = f"^adjacency matrix for a vertex count with {digits} digits is too large$"
         with pytest.raises(MemoryError, match=message):
             g.adjacency_matrix()
