@@ -120,9 +120,12 @@ def _scan_betas(beta_min: float, beta_max: float, step: float) -> np.ndarray:
     steps = (beta_max - beta_min) / step
     # refuse what cannot be built before numpy is asked: past 2**53 steps
     # (or at inf) a double no longer counts the nodes, and numpy's errors vary
-    if not steps < 2.0**53:
-        raise MemoryError(f"beta grid [{beta_min:g}, {beta_max:g}] at step {step:g} is too large")
-    return beta_min + np.arange(int(math.floor(steps + 1e-9)) + 1) * step
+    if steps < 2.0**53:
+        try:
+            return beta_min + np.arange(int(math.floor(steps + 1e-9)) + 1) * step
+        except MemoryError:  # numpy could not allocate the nodes: same message
+            pass
+    raise MemoryError(f"beta grid [{beta_min:g}, {beta_max:g}] at step {step:g} is too large")
 
 
 def _scan_table(

@@ -7,10 +7,9 @@ evaluated from the symmetric eigendecomposition as
 
 where w[i, k] is the squared i-th component of the k-th orthonormal
 eigenvector (so the weights are non-negative by construction and each row
-sums to 1).  Eigenvalues are also clustered into numerically distinct
-values, giving the grouped weights a[i, j] = sum of w[i, k] over cluster j.
-Their column sums are the multiplicities, and the difference of two rows
-holds the coefficients of f[i] - f[k] as a sum over distinct eigenvalues.
+sums to 1).  Eigenvalues are not grouped here: the one reader of a
+clustering, the walk-table certifier, clusters its own ``eigvalsh``
+eigenvalues in :mod:`walkentropy.walks`.
 
 exp(beta * lambda) over a set of betas is formed in one place,
 ``_exp_rows``, which raises :class:`CentralityOverflowError` at the first
@@ -37,9 +36,6 @@ __all__ = [
 #: Residual bound for accepted eigenpairs: ||A u - lambda u|| <= tol * max(1, ||A||_2).
 RESIDUAL_TOL = 1e-10
 
-#: Absolute gap below which adjacent eigenvalues join the same cluster.
-CLUSTER_TOL = 1e-8
-
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _TRACE_OVERFLOW = "trace of exp(beta*A) overflows double precision at beta={:.6g}"
@@ -55,28 +51,10 @@ class CentralityOverflowError(OverflowError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (descending), squared-eigenvector weights, and the
-    same weights grouped over numerically distinct eigenvalues."""
+    """Eigenvalues (descending) and squared-eigenvector weights."""
 
     eigenvalues: np.ndarray  # (n,), descending
     weights: np.ndarray  # (n, n); weights[i, k] = u_{k,i}^2
-    distinct_eigenvalues: np.ndarray  # (kappa,), descending cluster means
-    grouped_weights: np.ndarray  # (n, kappa)
-
-
-def _cluster_starts(lam: np.ndarray) -> list[int]:
-    """Start index of each cluster of the descending eigenvalues ``lam``.
-
-    A cluster ends wherever the gap to the next eigenvalue exceeds
-    ``CLUSTER_TOL``.
-    """
-    return [0] + [k for k in range(1, lam.size) if lam[k - 1] - lam[k] > CLUSTER_TOL]
-
-
-def _cluster_means(lam: np.ndarray, starts: list[int]) -> np.ndarray:
-    """The mean of each cluster: the distinct eigenvalues, descending."""
-    bounds = starts + [lam.size]
-    return np.array([lam[a:b].mean() for a, b in zip(bounds, bounds[1:])])
 
 
 def eigendecompose(g: Graph) -> SpectralDecomposition:
@@ -84,9 +62,6 @@ def eigendecompose(g: Graph) -> SpectralDecomposition:
 
     Validates the residual and orthonormality invariants and raises
     :class:`EigendecompositionError` rather than returning silent garbage.
-    Clusters of eigenvalues closer than ``CLUSTER_TOL`` (absolute gap,
-    scanned in descending order) are merged into one distinct eigenvalue,
-    represented by the cluster mean.
     """
     a = g.adjacency_matrix()
     try:
@@ -112,13 +87,9 @@ def eigendecompose(g: Graph) -> SpectralDecomposition:
             f"eigenvector basis is not orthonormal (weight sum error {max(row_err, col_err):.3e})"
         )
 
-    starts = _cluster_starts(lam)
-    distinct = _cluster_means(lam, starts)
-    grouped = np.add.reduceat(weights, starts, axis=1)
-
-    for arr in (lam, weights, distinct, grouped):
+    for arr in (lam, weights):
         arr.flags.writeable = False
-    return SpectralDecomposition(lam, weights, distinct, grouped)
+    return SpectralDecomposition(lam, weights)
 
 
 def _exp_rows(d: SpectralDecomposition, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

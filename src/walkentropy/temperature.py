@@ -13,7 +13,9 @@ per-pair scan.  The screen sorts the classes in 0+ order and keeps one
 running maximum over them.  A rounded difference x - y never increases
 as y grows, so a class whose rounded lead over the running maximum below
 it clears the trigger at every node has no busy pair with any class
-below it, exactly; only the other classes are compared pair by pair.
+below it, exactly; only the other classes are compared pair by pair.  A
+busy pair's signs are resolved only if a node falls to -``SIGN_FLOOR``
+times the mean f; else all are the 0+ sign, and only dips are refined.
 
 Two details guard the endpoints.  As beta -> 0+ every difference tends to
 0 (exp(0) = I), so the sign at 0+ comes from the first differing exact
@@ -170,14 +172,14 @@ class CounterexampleReport:
         }
 
 
-def _resolved_signs(values: np.ndarray, mean_f: np.ndarray, first: int) -> np.ndarray:
+def _resolved_signs(values: np.ndarray, floor: np.ndarray, first: int) -> np.ndarray:
     """Signs of ``values`` on a grid, the first node set to ``first``.
 
-    A node with |value| below ``SIGN_FLOOR * mean_f`` is round-off and
-    repeats the previous resolved sign.
+    A node with |value| below ``floor`` (``SIGN_FLOOR`` times the mean
+    centrality there) is round-off and repeats the previous resolved sign.
     """
     signs = np.sign(values).astype(int)
-    signs[np.abs(values) < SIGN_FLOOR * mean_f] = 0
+    signs[np.abs(values) < floor] = 0
     signs[0] = first
     return signs[np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))]
 
@@ -209,7 +211,8 @@ def _scan_pair(
     d: SpectralDecomposition,
     betas: np.ndarray,
     diff: np.ndarray,
-    mean_f: np.ndarray,
+    floor: np.ndarray,
+    trigger: np.ndarray,
     grid_step: float,
     lo: int,
     hi: int,
@@ -217,33 +220,38 @@ def _scan_pair(
     """Brackets and bisected roots for one class pair over the grid.
 
     ``diff`` is f_hi - f_lo at ``betas``, positive at 0+ (representatives
-    ``lo`` and ``hi`` in 0+ order); the pair is reported as (min, max).
+    ``lo`` and ``hi`` in 0+ order); ``floor`` and ``trigger`` are
+    ``SIGN_FLOOR`` and ``REFINE_TRIGGER`` times the mean centrality at each
+    node.  The pair is reported as (min, max).
+
+    A node resolves negative exactly when diff <= -floor there, negation
+    being exact.  Without such a node every resolved sign is the 0+ sign:
+    no cell brackets a root and no dip sits next to a sign change, so the
+    signs are resolved only for the pairs that have one.
     """
     pair = (min(lo, hi), max(lo, hi))
     wdiff = d.weights[hi] - d.weights[lo]
-    # beta = 0 is an exact tie; start from the sign at 0+
-    signs = _resolved_signs(diff, mean_f, 1)
-    candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
-    notes: list[str] = []
-
     # Refinement: a near-zero local minimum of |diff| without an adjacent
     # sign change may hide a closely-spaced root pair inside one cell.
-    change = signs[:-1] != signs[1:]
     absd = np.abs(diff)
-    interior = (
-        (absd[1:-1] <= absd[:-2])
-        & (absd[1:-1] <= absd[2:])
-        & (absd[1:-1] < REFINE_TRIGGER * mean_f[1:-1])
-        & ~change[:-1]
-        & ~change[1:]
-    )
-    for t in np.nonzero(interior)[0] + 1:
+    dips = np.flatnonzero(absd[1:-1] < trigger[1:-1]) + 1
+    dips = dips[(absd[dips] <= absd[dips - 1]) & (absd[dips] <= absd[dips + 1])]
+    candidates: list[tuple[float, float, float, tuple[int, int]]] = []
+    signs = None
+    if (diff[1:] <= -floor[1:]).any():
+        # beta = 0 is an exact tie; start from the sign at 0+
+        signs = _resolved_signs(diff, floor, 1)
+        candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
+        dips = dips[(signs[dips - 1] == signs[dips]) & (signs[dips] == signs[dips + 1])]
+    notes: list[str] = []
+    for t in dips.tolist():
         # spans the two surrounding cells; the last cell may be shorter than
         # grid_step when beta_max is not step-aligned, so interpolate rather
         # than assume a uniform width
         sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
         e, traces = _exp_rows(d, sub)
-        sub_signs = _resolved_signs(e @ wdiff, traces / e.shape[1], int(signs[t - 1]))
+        first = 1 if signs is None else int(signs[t - 1])
+        sub_signs = _resolved_signs(e @ wdiff, SIGN_FLOOR * (traces / e.shape[1]), first)
         for root, left, right in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
             candidates.append((root, left, right, pair))
             notes.append(
@@ -317,16 +325,18 @@ def _scan(
     f = e @ d.weights[ordered].T  # (grid, classes), columns in 0+ order
     mean_f = traces / e.shape[1]  # what e.mean(axis=1) computes
     del e  # free the (grid, n) exponentials before the pair scans
+    floor = SIGN_FLOOR * mean_f
+    trigger = REFINE_TRIGGER * mean_f
 
     # scanned in representative-pair order, which fixes the order of the
     # notes and of equal-beta candidates in the merge below
-    busy = _busy_pairs(f[1:], REFINE_TRIGGER * mean_f[1:, None])
+    busy = _busy_pairs(f[1:], trigger[1:, None])
     busy.sort(key=lambda ij: sorted([ordered[ij[0]], ordered[ij[1]]]))
     candidates: list[tuple[float, float, float, tuple[int, int]]] = []
     notes: list[str] = []
     for i, j in busy:
         cand, pair_notes = _scan_pair(
-            d, betas, f[:, j] - f[:, i], mean_f, grid_step, ordered[i], ordered[j]
+            d, betas, f[:, j] - f[:, i], floor, trigger, grid_step, ordered[i], ordered[j]
         )
         candidates.extend(cand)
         notes.extend(pair_notes)

@@ -15,9 +15,8 @@ linear combination of the first d, so two vertices whose counts agree up
 to length d-1 agree at every length.  A is symmetric, hence
 diagonalizable, so d = kappa, the number of distinct eigenvalues, which
 can be far below n (kappa = 6 for every HM(m)).  Floats only propose:
-the eigenvalues, clustered as :func:`~walkentropy.spectral.eigendecompose`
-clusters them, give the monic integer polynomial q rounded from
-prod (x - lambda).  Exact arithmetic disposes: q(A) = 0 is checked by the
+the eigenvalues, clustered at the absolute gap ``CLUSTER_TOL``, give the
+monic integer polynomial q rounded from prod (x - lambda).  Exact arithmetic disposes: q(A) = 0 is checked by the
 same multi-modular products, and when it holds the minimal polynomial
 divides q, so the table to length deg q - 1 decides everything whatever
 error the eigensolver made.  Otherwise the table runs to n - 1, which
@@ -33,7 +32,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .spectral import _cluster_means, _cluster_starts
 
 __all__ = [
     "ExactWalkTable",
@@ -42,6 +40,9 @@ __all__ = [
     "closed_walk_table",
     "is_walk_regular",
 ]
+
+#: Absolute gap below which adjacent eigenvalues join the same cluster.
+CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,21 @@ def closed_walk_table(g: Graph, L: int) -> ExactWalkTable:
     # free list that no later tuple of its size is drawn from, so memory
     # piled up with every call (about 2 MB after 60 corpus passes)
     return ExactWalkTable(L, tuple([tuple(row) for row in counts.tolist()]))
+
+
+def _cluster_starts(lam: np.ndarray) -> list[int]:
+    """Start index of each cluster of the descending eigenvalues ``lam``.
+
+    A cluster ends wherever the gap to the next eigenvalue exceeds
+    ``CLUSTER_TOL``.
+    """
+    return [0] + [k for k in range(1, lam.size) if lam[k - 1] - lam[k] > CLUSTER_TOL]
+
+
+def _cluster_means(lam: np.ndarray, starts: list[int]) -> np.ndarray:
+    """The mean of each cluster: the distinct eigenvalues, descending."""
+    bounds = starts + [lam.size]
+    return np.array([lam[a:b].mean() for a, b in zip(bounds, bounds[1:])])
 
 
 def _certified_length(g: Graph) -> int:

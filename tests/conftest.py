@@ -14,16 +14,29 @@ from hypothesis import strategies as st
 from walkentropy.cli import _round_floats
 from walkentropy.entropy import EntropyReport
 from walkentropy.graphs import Graph
-from walkentropy.spectral import SpectralDecomposition, _centrality_rows, eigendecompose
+from walkentropy.spectral import (
+    SpectralDecomposition,
+    _centrality_rows,
+    _exp_rows,
+    eigendecompose,
+)
 from walkentropy.temperature import (
     CROSSING_SPREAD_TOL,
     DEDUPE_TOL,
+    REFINE_FACTOR,
+    REFINE_TRIGGER,
+    SIGN_FLOOR,
     CrossingReport,
     CrossingScan,
     PairwiseCrossing,
-    _scan_pair,
+    _bisect_changes,
 )
-from walkentropy.walks import closed_walk_table, is_walk_regular
+from walkentropy.walks import (
+    _cluster_means,
+    _cluster_starts,
+    closed_walk_table,
+    is_walk_regular,
+)
 
 #: Two disjoint K4: exp(3*beta) stays below the double range up to
 #: beta = 236.59, but the trace 2*exp(3*beta) + 6*exp(-beta) overflows
@@ -200,15 +213,89 @@ def class_difference(d: SpectralDecomposition, i: int, j: int, beta: float) -> f
     return float((d.weights[i] - d.weights[j]) @ np.exp(beta * d.eigenvalues))
 
 
+def grouped_spectrum(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct eigenvalues (descending cluster means) and the weights
+    summed over each cluster, (n, kappa).
+
+    Clustered as the walk-table certifier clusters: column sums of the
+    grouped weights are the multiplicities, and the difference of two rows
+    holds the coefficients of f_i - f_k over the distinct eigenvalues.
+    """
+    starts = _cluster_starts(d.eigenvalues)
+    return _cluster_means(d.eigenvalues, starts), np.add.reduceat(d.weights, starts, axis=1)
+
+
+def reference_resolved_signs(values: np.ndarray, mean_f: np.ndarray, first: int) -> np.ndarray:
+    """Signs of ``values`` on a grid, the first node set to ``first``; a node
+    with |value| below ``SIGN_FLOOR * mean_f`` repeats the previous resolved
+    sign.  The reference for ``temperature._resolved_signs``."""
+    signs = np.sign(values).astype(int)
+    signs[np.abs(values) < SIGN_FLOOR * mean_f] = 0
+    signs[0] = first
+    return signs[np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))]
+
+
+def reference_scan_pair(
+    d: SpectralDecomposition,
+    betas: np.ndarray,
+    diff: np.ndarray,
+    mean_f: np.ndarray,
+    grid_step: float,
+    lo: int,
+    hi: int,
+) -> tuple[list[tuple[float, float, float, tuple[int, int]]], list[str]]:
+    """Brackets and bisected roots for one class pair over the grid.
+
+    The reference for ``temperature._scan_pair``: it resolves every node's
+    sign for every pair, then refines each near-zero local minimum of |diff|
+    that has no adjacent sign change.  ``diff`` is f_hi - f_lo at
+    ``betas``, positive at 0+; the pair is reported as (min, max).
+    """
+    pair = (min(lo, hi), max(lo, hi))
+    wdiff = d.weights[hi] - d.weights[lo]
+    # beta = 0 is an exact tie; start from the sign at 0+
+    signs = reference_resolved_signs(diff, mean_f, 1)
+    candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
+    notes: list[str] = []
+
+    # Refinement: a near-zero local minimum of |diff| without an adjacent
+    # sign change may hide a closely-spaced root pair inside one cell.
+    change = signs[:-1] != signs[1:]
+    absd = np.abs(diff)
+    interior = (
+        (absd[1:-1] <= absd[:-2])
+        & (absd[1:-1] <= absd[2:])
+        & (absd[1:-1] < REFINE_TRIGGER * mean_f[1:-1])
+        & ~change[:-1]
+        & ~change[1:]
+    )
+    for t in np.nonzero(interior)[0] + 1:
+        # spans the two surrounding cells; the last cell may be shorter than
+        # grid_step when beta_max is not step-aligned, so interpolate rather
+        # than assume a uniform width
+        sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
+        e, traces = _exp_rows(d, sub)
+        sub_signs = reference_resolved_signs(e @ wdiff, traces / e.shape[1], int(signs[t - 1]))
+        for root, left, right in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
+            candidates.append((root, left, right, pair))
+            notes.append(
+                f"grid step {grid_step:g} too coarse near beta={root:.9g}: "
+                f"sign change of pair {pair} found only at step/{REFINE_FACTOR}"
+            )
+    return candidates, notes
+
+
 def all_pairs_scan(
     g: Graph, beta_max: float = 10.0, grid_step: float = 0.01
 ) -> tuple[CrossingScan, dict]:
-    """``find_crossings`` with every class pair sent through ``_scan_pair``.
+    """``find_crossings`` with every class pair sent through
+    :func:`reference_scan_pair`.
 
     The reference for the idle-pair screen: no pair is skipped, each 0+
     sign comes from ``bigint_closed_walk_table`` at length n - 1, and each
     root is checked with its own one-beta diagonal, :func:`centrality`.
-    Returns the scan and each pair's ``_scan_pair`` result, in pair order.
+    Returns the scan and each pair's ``reference_scan_pair`` result, in
+    pair order.
     """
     classes = is_walk_regular(g).classes
     if len(classes) == 1:
@@ -229,7 +316,9 @@ def all_pairs_scan(
         pair = (reps[a], reps[b])
         lo, hi = (b, a) if zero_plus_sign(profiles, *pair) > 0 else (a, b)
         diff = f_reps[:, hi] - f_reps[:, lo]
-        per_pair[pair] = _scan_pair(d, betas, diff, mean_f, grid_step, reps[lo], reps[hi])
+        per_pair[pair] = reference_scan_pair(
+            d, betas, diff, mean_f, grid_step, reps[lo], reps[hi]
+        )
 
     candidates = sorted(
         (c for cand, _ in per_pair.values() for c in cand), key=lambda c: c[0]

@@ -11,6 +11,7 @@ enter every exported function and every public method or property of each
 exported class.  A helper only tests use belongs in ``tests/conftest.py``.
 """
 
+import functools
 import inspect
 import io
 import json
@@ -74,11 +75,12 @@ def test_cli_bytes_match_the_recorded_output(capsys, monkeypatch, case):
 
 @pytest.mark.parametrize("command", ["find-crossings", "scan"])
 def test_grid_too_large_for_memory_is_a_computation_error(capsys, command):
-    # numpy refuses the 72.8 TiB grid before touching any memory
+    # numpy refuses the 72.8 TiB grid before touching any memory; its
+    # refusal is worded as the grid the program refuses itself
     code = main([command, "--hm", "4", "--step", "1e-12"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("computation error: ")
+    assert err == "computation error: beta grid [0, 10] at step 1e-12 is too large\n"
 
 
 @pytest.mark.parametrize(
@@ -109,7 +111,7 @@ def test_public_api_is_pinned():
 
 def _public_members() -> dict:
     """Code object -> name of each exported function and of each public
-    method or property defined on an exported class."""
+    method, property or cached property defined on an exported class."""
     members = {}
     for name in walkentropy.__all__:
         obj = getattr(walkentropy, name)
@@ -119,9 +121,22 @@ def _public_members() -> dict:
             for attr, value in vars(obj).items():
                 if isinstance(value, property):
                     value = value.fget
+                elif isinstance(value, functools.cached_property):
+                    value = value.func
                 if not attr.startswith("_") and inspect.isfunction(value):
                     members[value.__code__] = f"{name}.{attr}"
     return members
+
+
+def test_public_members_include_cached_properties(monkeypatch):
+    class Probe:
+        @functools.cached_property
+        def value(self):
+            return 1
+
+    monkeypatch.setattr(walkentropy, "Probe", Probe, raising=False)
+    monkeypatch.setattr(walkentropy, "__all__", [*walkentropy.__all__, "Probe"])
+    assert _public_members()[Probe.value.func.__code__] == "Probe.value"
 
 
 def test_every_public_member_is_reached_by_a_command(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from conftest import (
     complete_graph,
     graphs,
     path_graph,
+    reference_scan_pair,
     star_graph,
     zero_plus_sign,
 )
@@ -36,6 +37,8 @@ from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import Graph, hm_graph, parse_edge_list
 from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.temperature import (
+    REFINE_TRIGGER,
+    SIGN_FLOOR,
     CoarseGridWarning,
     _busy_pairs,
     _resolved_signs,
@@ -83,6 +86,47 @@ def screen_inputs(draw):
             columns.append(base.copy() if kind == "equal" else base + trigger[:, 0])
     order = draw(st.permutations(range(k)))
     return np.column_stack([columns[c] for c in order]), trigger
+
+
+@st.composite
+def pair_scan_inputs(draw):
+    """A synthetic class pair as in ``test_refinement_catches_close_root_pair``:
+    the decomposition of 2*cosh(beta - r) - 2 - eps, its grid over [0, 1] with
+    r near a node, and a constant mean centrality.
+
+    Some nodes of the difference are then overwritten with round-off (at most
+    the sign floor), sub-trigger dips of either sign, or a negative run, so
+    that sign changes, carried signs and the sub-grid pass all occur.
+    """
+    step = draw(st.sampled_from([0.02, 0.05, 0.1, 0.5, 1.0]))
+    betas = step * np.arange(round(1 / step) + 1)
+    r = float(betas[draw(st.integers(1, max(1, betas.size - 2)))])
+    r += draw(st.floats(-0.004, 0.004))
+    eps = draw(st.sampled_from([-1e-6, 0.0, 1e-8, 1e-6, 1e-4]))
+    lam = np.array([1.0, 0.0, -1.0])
+    w_hi = np.array([math.exp(-r), 0.0, math.exp(r)])
+    w_lo = np.array([0.0, 2.0 + eps, 0.0])
+    fake = types.SimpleNamespace(eigenvalues=lam, weights=np.array([w_hi, w_lo]))
+    diff = np.exp(np.outer(betas, lam)) @ (w_hi - w_lo)
+    mean_f = np.full_like(betas, draw(st.sampled_from([1.0, 20.0])))
+    floor, trigger = SIGN_FLOOR * mean_f, REFINE_TRIGGER * mean_f
+    kinds = ["round-off", "at-floor", "dip", "negative-dip", "negative-run"]
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.integers(1, betas.size - 1))
+        u = draw(st.floats(0.0, 1.0))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "round-off":
+            diff[t] = (2.0 * u - 1.0) * floor[t]
+        elif kind == "at-floor":
+            diff[t] = -floor[t]
+        elif kind == "dip":
+            diff[t] = u * trigger[t]
+        elif kind == "negative-dip":
+            diff[t] = -u * trigger[t]
+        else:
+            stop = draw(st.integers(t + 1, betas.size))
+            diff[t:stop] = -np.abs(diff[t:stop]) - u
+    return fake, betas, diff, mean_f, step
 
 
 @pytest.fixture
@@ -262,7 +306,8 @@ class TestFindCrossings:
         assert np.all(np.sign(diff[1:]) > 0)  # main grid sees no sign change
         mean_f = np.full_like(betas, 20.0)
         # diff = f_0 - f_1 is positive at 0+: class 1 is low, class 0 high
-        candidates, notes = _scan_pair(fake, betas, diff, mean_f, 0.01, 1, 0)
+        floor, trigger = SIGN_FLOOR * mean_f, REFINE_TRIGGER * mean_f
+        candidates, notes = _scan_pair(fake, betas, diff, floor, trigger, 0.01, 1, 0)
         roots = sorted(c[0] for c in candidates)
         assert len(roots) == 2
         assert all(c[3] == (0, 1) for c in candidates)
@@ -271,6 +316,17 @@ class TestFindCrossings:
         assert roots[1] == pytest.approx(r + width, rel=0.1)
         assert len(notes) == 2
         assert "too coarse" in notes[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_scan_inputs())
+    def test_scan_pair_matches_the_reference(self, inputs):
+        # resolving signs only where a node reaches -floor changes no bit of
+        # the candidates or the notes
+        fake, betas, diff, mean_f, step = inputs
+        floor, trigger = SIGN_FLOOR * mean_f, REFINE_TRIGGER * mean_f
+        got = _scan_pair(fake, betas, diff, floor, trigger, step, 1, 0)
+        want = reference_scan_pair(fake, betas, diff, mean_f, step, 1, 0)
+        assert repr(got) == repr(want)
 
     def test_round_off_near_zero_is_not_a_crossing(self):
         scan = find_crossings(DEEP_PAIR_TREE)
@@ -281,7 +337,7 @@ class TestFindCrossings:
 
     def test_unresolved_signs_repeat_the_last_resolved_sign(self):
         values = np.array([0.0, 1e-16, -1e-16, 0.5, 1e-20, -0.3, 0.0])
-        signs = _resolved_signs(values, np.ones_like(values), -1)
+        signs = _resolved_signs(values, SIGN_FLOOR * np.ones_like(values), -1)
         assert signs.tolist() == [-1, -1, -1, 1, 1, -1, -1]
 
     def test_coarse_grid_warning_points_at_the_caller(self, monkeypatch):
@@ -455,6 +511,51 @@ class TestWorkCounts:
         k = len(find_crossings(graph).classes)
         assert k * (k - 1) // 2 == class_pairs
         assert len(scanned) == scanned_pairs
+
+    @pytest.mark.parametrize(
+        "graph, scanned_pairs, negative_pairs",
+        [
+            (star_graph(3), 0, 0),
+            (path_graph(5), 1, 0),
+            (hm_graph(4), 1, 1),
+            (Graph(25, hm_graph(4).edges), 1, 1),
+            (DEEP_PAIR_TREE, 6, 0),
+        ],
+        ids=["star3", "path5", "HM4", "HM4+isolated", "deep-pair-tree"],
+    )
+    def test_grid_signs_are_resolved_only_for_pairs_that_reach_minus_floor(
+        self, monkeypatch, graph, scanned_pairs, negative_pairs
+    ):
+        # the main grid's signs and brackets: calls on the floor and grid
+        # that _scan hands _scan_pair, not on a refinement sub-grid
+        temperature = walkentropy.temperature
+        real_scan, real_signs, real_bisect = (
+            temperature._scan_pair,
+            temperature._resolved_signs,
+            temperature._bisect_changes,
+        )
+        grid = {}
+        negative, signs_calls, bisect_calls = [], [], []
+
+        def scan_pair(d, betas, diff, floor, trigger, *rest):
+            grid.update(betas=betas, floor=floor)
+            negative.append(bool((diff[1:] <= -floor[1:]).any()))
+            return real_scan(d, betas, diff, floor, trigger, *rest)
+
+        def resolved_signs(values, floor, first):
+            signs_calls.append(floor is grid["floor"])
+            return real_signs(values, floor, first)
+
+        def bisect_changes(wdiff, eigenvalues, betas, signs):
+            bisect_calls.append(betas is grid["betas"])
+            return real_bisect(wdiff, eigenvalues, betas, signs)
+
+        monkeypatch.setattr(temperature, "_scan_pair", scan_pair)
+        monkeypatch.setattr(temperature, "_resolved_signs", resolved_signs)
+        monkeypatch.setattr(temperature, "_bisect_changes", bisect_changes)
+        find_crossings(graph)
+        assert (len(negative), sum(negative)) == (scanned_pairs, negative_pairs)
+        assert sum(signs_calls) == sum(bisect_calls) == negative_pairs
 
     def test_repeated_reports_hold_no_memory(self):
         # 12 vertices in 12 classes: the walk table, the classes and the
