@@ -225,9 +225,8 @@ def _scan_pair(
     node.  The pair is reported as (min, max).
 
     A node resolves negative exactly when diff <= -floor there, negation
-    being exact.  Without such a node every resolved sign is the 0+ sign:
-    no cell brackets a root and no dip sits next to a sign change, so the
-    signs are resolved only for the pairs that have one.
+    being exact.  Without such a node every resolved sign is the 0+ sign,
+    no cell brackets a root and no dip is next to a change, so no sign is resolved.
     """
     pair = (min(lo, hi), max(lo, hi))
     wdiff = d.weights[hi] - d.weights[lo]

@@ -16,10 +16,11 @@ to length d-1 agree at every length.  A is symmetric, hence
 diagonalizable, so d = kappa, the number of distinct eigenvalues, which
 can be far below n (kappa = 6 for every HM(m)).  Floats only propose:
 the eigenvalues, clustered at the absolute gap ``CLUSTER_TOL``, give the
-monic integer polynomial q rounded from prod (x - lambda).  Exact arithmetic disposes: q(A) = 0 is checked by the
-same multi-modular products, and when it holds the minimal polynomial
-divides q, so the table to length deg q - 1 decides everything whatever
-error the eigensolver made.  Otherwise the table runs to n - 1, which
+monic integer polynomial q rounded from prod (x - lambda).  Exact
+arithmetic disposes: q(A) = 0 is checked by the same multi-modular
+products, and when it holds the minimal polynomial divides q, so the
+table to length deg q - 1 decides everything whatever error the
+eigensolver made.  Otherwise the table runs to n - 1, which
 d <= n always justifies.
 """
 
