@@ -136,11 +136,6 @@ def _load_graph(args) -> Graph:
     return parse_edge_list(text)
 
 
-def _reject_csv(args) -> None:
-    if args.format == "csv":
-        raise UsageError(f"csv output is not supported for {args.command}")
-
-
 def _print_verdict(verdict) -> None:
     print(f"walk-regular: {'true' if verdict.is_walk_regular else 'false'}")
     if verdict.witness is not None:
@@ -157,7 +152,6 @@ def _cmd_gen_hm(args) -> int:
 
 
 def _cmd_check_walk_regular(args) -> int:
-    _reject_csv(args)
     verdict = is_walk_regular(_load_graph(args))
     if args.format == "json":
         _print_json(verdict.as_dict())
@@ -259,7 +253,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_find_crossings(args) -> int:
-    _reject_csv(args)
     scan = find_crossings(_load_graph(args), args.beta_max, args.step, args.tol)
     if args.format == "json":
         _print_json(scan.as_dict())
@@ -285,7 +278,6 @@ def _cmd_find_crossings(args) -> int:
 
 
 def _cmd_verify_counterexample(args) -> int:
-    _reject_csv(args)
     report = verify_counterexample(_load_graph(args), args.beta_max, args.step)
     if args.format == "json":
         _print_json(report.as_dict())
@@ -318,19 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="walkentropy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    io_parent = _Parser(add_help=False)
-    io_parent.add_argument(
-        "input", nargs="?", help="edge-list file, or '-' for stdin"
-    )
-    io_parent.add_argument(
-        "--hm", type=int, metavar="M", help="use the hub-matching graph HM(M) as input"
-    )
-    io_parent.add_argument(
-        "--format",
-        choices=("csv", "json", "human"),
-        default="human",
-        help="output format (default: human)",
-    )
+    def io_options(formats: tuple[str, ...]) -> argparse.ArgumentParser:
+        parent = _Parser(add_help=False)  # --format offers only what a command prints
+        parent.add_argument("input", nargs="?", help="edge-list file, or '-' for stdin")
+        parent.add_argument(
+            "--hm", type=int, metavar="M", help="use the hub-matching graph HM(M) as input"
+        )
+        parent.add_argument(
+            "--format", choices=formats, default="human", help="output format (default: human)"
+        )
+        return parent
+
+    io_csv = io_options(("csv", "json", "human"))
+    io_no_csv = io_options(("json", "human"))
 
     def tol_option(default: float) -> argparse.ArgumentParser:
         parent = _Parser(add_help=False)  # one per command, each with its default
@@ -339,30 +331,26 @@ def build_parser() -> argparse.ArgumentParser:
         return parent
 
     grid_parent = _Parser(add_help=False)
-    grid_parent.add_argument(
-        "--beta-max", type=_finite, default=10.0, help="scan end (default 10)"
-    )
-    grid_parent.add_argument(
-        "--step", type=_finite, default=0.01, help="grid step (default 0.01)"
-    )
+    grid_parent.add_argument("--beta-max", type=_finite, default=10.0, help="scan end (default 10)")
+    grid_parent.add_argument("--step", type=_finite, default=0.01, help="grid step (default 0.01)")
 
     p = sub.add_parser("gen-hm", help="emit the hub-matching graph HM(M)")
     p.add_argument("m", type=int, help="family parameter (positive)")
     p.set_defaults(func=_cmd_gen_hm)
 
     p = sub.add_parser(
-        "check-walk-regular", parents=[io_parent], help="exact walk-regularity verdict"
+        "check-walk-regular", parents=[io_no_csv], help="exact walk-regularity verdict"
     )
     p.set_defaults(func=_cmd_check_walk_regular)
 
     p = sub.add_parser(
-        "entropy", parents=[io_parent, tol_option(MAXIMALITY_TOL)],
+        "entropy", parents=[io_csv, tol_option(MAXIMALITY_TOL)],
         help="walk entropy at one temperature",
     )
     p.add_argument("--beta", type=_finite, required=True, help="temperature (>= 0)")
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("scan", parents=[io_parent], help="entropy over a beta grid")
+    p = sub.add_parser("scan", parents=[io_csv], help="entropy over a beta grid")
     p.add_argument("--beta-min", type=_finite, default=0.0, help="grid start (default 0)")
     p.add_argument("--beta-max", type=_finite, default=10.0, help="grid end (default 10)")
     p.add_argument("--step", type=_finite, default=0.01, help="grid step (default 0.01)")
@@ -370,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "find-crossings",
-        parents=[io_parent, tol_option(CROSSING_SPREAD_TOL), grid_parent],
+        parents=[io_no_csv, tol_option(CROSSING_SPREAD_TOL), grid_parent],
         help="all maximal-entropy temperatures in (0, beta-max]",
     )
     p.set_defaults(func=_cmd_find_crossings)
 
     p = sub.add_parser(
         "verify-counterexample",
-        parents=[io_parent, grid_parent],
+        parents=[io_no_csv, grid_parent],
         help="walk-regularity, crossings, and conjecture checks",
     )
     p.set_defaults(func=_cmd_verify_counterexample)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import math
+import random
 import tracemalloc
 import types
 import warnings
@@ -28,6 +29,7 @@ from conftest import (
     complete_graph,
     graphs,
     path_graph,
+    random_connected_graph,
     reference_scan_pair,
     star_graph,
     zero_plus_sign,
@@ -60,6 +62,8 @@ SCREEN_GRAPHS = {
     **{f"HM{m}": hm_graph(m) for m in range(3, 7)},
     "deep-pair-tree": DEEP_PAIR_TREE,
     "HM4+isolated": Graph(25, hm_graph(4).edges),
+    # 28 classes, one per vertex: 73 of its 378 pairs are busy at the default grid
+    "asymmetric-28": random_connected_graph(random.Random(2), 28),
 }
 SCREEN_GRIDS = [{}, {"beta_max": 3.0, "grid_step": 0.05}]
 
