@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,11 +19,9 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "DegreeSummary",
     "EdgeListError",
     "parse_edge_list",
     "serialize_edge_list",
-    "degree_summary",
     "hm_graph",
 ]
 
@@ -72,9 +69,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -108,18 +102,6 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    degrees: tuple[int, ...]
-    histogram: dict[int, int]
-
-
-def degree_summary(g: Graph) -> DegreeSummary:
-    """Per-vertex degrees and the degree -> count histogram."""
-    deg = g.degrees()
-    return DegreeSummary(tuple(deg), dict(sorted(Counter(deg).items())))
-
-
 #: An edge-list integer: ASCII digits with an optional sign.  ``int()``
 #: alone would also read ``1_0`` as 10 and other scripts' digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -150,11 +132,12 @@ def parse_edge_list(text: str) -> Graph:
     ``(v, u)`` denote the same edge and duplicates are merged.
 
     Raises :class:`EdgeListError` (with the offending line number) on
-    self-loops, non-integer tokens, or endpoints outside ``[0, n)``.  An
-    integer token is ASCII digits with an optional sign.
+    self-loops, non-integer tokens, or endpoints outside ``[0, n)``; the
+    first faulty line is the one reported.  An integer token is ASCII
+    digits with an optional sign.
     """
     declared: int | None = None
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int]] = []
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -183,23 +166,20 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"line {lineno}: self-loop at vertex {u}")
         if u < 0 or v < 0:
             raise EdgeListError(f"line {lineno}: negative vertex id in {line!r}")
-        pairs.append((lineno, u, v))
+        if declared is not None and (u >= declared or v >= declared):
+            raise EdgeListError(f"line {lineno}: vertex {max(u, v)} out of range for n={declared}")
+        pairs.append((u, v))
 
     if declared is None and not pairs:
         raise EdgeListError("empty edge list and no 'n <count>' header")
-    n = declared if declared is not None else 1 + max(max(u, v) for _, u, v in pairs)
-    for lineno, u, v in pairs:
-        if u >= n or v >= n:
-            raise EdgeListError(
-                f"line {lineno}: vertex {max(u, v)} out of range for n={n}"
-            )
-    return Graph(n, frozenset((u, v) for _, u, v in pairs))
+    n = declared if declared is not None else 1 + max(max(u, v) for u, v in pairs)
+    return Graph(n, frozenset(pairs))
 
 
 def serialize_edge_list(g: Graph) -> str:
     """Deterministic edge-list text: ``n <count>`` header, then sorted edges."""
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 

@@ -11,8 +11,8 @@ difference keeps its 0+ sign at every node beta > 0, never within
 bracket and start no refinement, so it is screened out before the
 per-pair scan.  The screen sorts the classes in 0+ order and tests that
 definition for each class against all the classes below it.  A busy
-pair's signs are resolved only if a node falls to -``SIGN_FLOOR`` times
-the mean f; else all are the 0+ sign, and only dips are refined.
+pair with no node at or below -``SIGN_FLOOR`` times the mean f and no
+dip has no work and returns at once.
 
 Two details guard the endpoints.  As beta -> 0+ every difference tends to
 0 (exp(0) = I), so the sign at 0+ comes from the first differing exact
@@ -29,12 +29,13 @@ exactly for walk-regular graphs (see :func:`verify_counterexample`).
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import _check_finite, _row_spreads, _scan_betas
-from .graphs import Graph, degree_summary
+from .graphs import Graph
 from .spectral import SpectralDecomposition, _centrality_rows, _exp_rows, eigendecompose
 from .walks import WalkRegularityVerdict, _decide
 
@@ -222,23 +223,22 @@ def _scan_pair(
     node.  The pair is reported as (min, max).
 
     A node resolves negative exactly when diff <= -floor there, negation
-    being exact.  Without such a node every resolved sign is the 0+ sign,
-    no cell brackets a root and no dip is next to a change, so no sign is resolved.
+    being exact.  Without such a node and without a dip every resolved sign
+    is the 0+ sign and nothing is refined: the pair has no work.
     """
-    pair = (min(lo, hi), max(lo, hi))
-    wdiff = d.weights[hi] - d.weights[lo]
     # Refinement: a near-zero local minimum of |diff| without an adjacent
     # sign change may hide a closely-spaced root pair inside one cell.
     absd = np.abs(diff)
     dips = np.flatnonzero(absd[1:-1] < trigger[1:-1]) + 1
     dips = dips[(absd[dips] <= absd[dips - 1]) & (absd[dips] <= absd[dips + 1])]
-    candidates: list[tuple[float, float, float, tuple[int, int]]] = []
-    signs = None
-    if (diff[1:] <= -floor[1:]).any():
-        # beta = 0 is an exact tie; start from the sign at 0+
-        signs = _resolved_signs(diff, floor, 1)
-        candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
-        dips = dips[(signs[dips - 1] == signs[dips]) & (signs[dips] == signs[dips + 1])]
+    if not dips.size and not (diff[1:] <= -floor[1:]).any():
+        return [], []
+    pair = (min(lo, hi), max(lo, hi))
+    wdiff = d.weights[hi] - d.weights[lo]
+    # beta = 0 is an exact tie; start from the sign at 0+
+    signs = _resolved_signs(diff, floor, 1)
+    candidates = [(*r, pair) for r in _bisect_changes(wdiff, d.eigenvalues, betas, signs)]
+    dips = dips[(signs[dips - 1] == signs[dips]) & (signs[dips] == signs[dips + 1])]
     notes: list[str] = []
     for t in dips.tolist():
         # spans the two surrounding cells; the last cell may be shorter than
@@ -246,7 +246,7 @@ def _scan_pair(
         # than assume a uniform width
         sub = np.linspace(float(betas[t - 1]), float(betas[t + 1]), 2 * REFINE_FACTOR + 1)
         e, traces = _exp_rows(d, sub)
-        first = 1 if signs is None else int(signs[t - 1])
+        first = int(signs[t - 1])
         sub_signs = _resolved_signs(e @ wdiff, SIGN_FLOOR * (traces / e.shape[1]), first)
         for root, left, right in _bisect_changes(wdiff, d.eigenvalues, sub, sub_signs):
             candidates.append((root, left, right, pair))
@@ -265,11 +265,8 @@ def _busy_pairs(f: np.ndarray, trigger: np.ndarray) -> list[tuple[int, int]]:
     at each node (grid x 1).  A pair is idle when fl(f_j - f_i), positive
     at 0+, is at or above the trigger at every node: every node then
     resolves to the 0+ sign and none is near zero, so :func:`_scan_pair`
-    would return ``([], [])``.
+    would return ``([], [])``.  It reads whole columns: 3x as slow on a row-major ``f``.
     """
-    # one column-major copy: every slice below takes whole columns, which
-    # are then contiguous; on row-major f the screen takes about 3x as long
-    f = np.asfortranarray(f)
     busy = []
     for j in range(1, f.shape[1]):
         idle = (f[:, j : j + 1] - f[:, :j] >= trigger).all(axis=0)
@@ -309,7 +306,7 @@ def _scan(
     if betas[-1] < beta_max - 1e-12 * max(1.0, beta_max):
         betas = np.append(betas, beta_max)
     e, traces = _exp_rows(d, betas)
-    f = e @ d.weights[ordered].T  # (grid, classes), columns in 0+ order
+    f = np.asfortranarray(e @ d.weights[ordered].T)  # (grid, classes), 0+ order
     mean_f = traces / e.shape[1]  # what e.mean(axis=1) computes
     del e  # free the (grid, n) exponentials before the pair scans
     floor = SIGN_FLOOR * mean_f
@@ -390,7 +387,7 @@ def verify_counterexample(
     count = len(scan.crossings)
     return CounterexampleReport(
         verdict=verdict,
-        degree_histogram=degree_summary(g).histogram,
+        degree_histogram=dict(sorted(Counter(g.degrees()).items())),
         scan=scan,
         crossing_count=count,
         is_counterexample=(not verdict.is_walk_regular) and count >= 1,

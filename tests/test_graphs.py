@@ -1,6 +1,7 @@
 """Graph construction, edge-list I/O, and the hub-matching family."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, petersen_graph, star_graph
+from walkentropy import verify_counterexample
 from walkentropy.graphs import (
     EdgeListError,
     Graph,
-    degree_summary,
     hm_graph,
     parse_edge_list,
     serialize_edge_list,
@@ -156,9 +157,20 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError, match="line 1: negative vertex id"):
             parse_edge_list("-1 0\n")
 
-    def test_endpoint_beyond_declared_count(self):
-        with pytest.raises(EdgeListError, match="out of range"):
-            parse_edge_list("n 2\n0 2\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 2\n0 2\n", "line 2: vertex 2 out of range for n=2"),
+            # the first faulty line is reported, not a later line's fault
+            ("n 3\n0 5\n1 1\n", "line 2: vertex 5 out of range for n=3"),
+            ("n 3\n0 5\n1 x\n", "line 2: vertex 5 out of range for n=3"),
+        ],
+        ids=["one-line", "then-self-loop", "then-non-integer"],
+    )
+    def test_endpoint_beyond_declared_count(self, text, message):
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
 
     def test_negative_vertex(self):
         with pytest.raises(EdgeListError, match="negative"):
@@ -218,10 +230,10 @@ class TestHmFamily:
     def test_counts_for_small_m(self, m):
         g = hm_graph(m)
         assert g.n == m * m + 2 * m
-        summary = degree_summary(g)
-        assert summary.histogram == {m: m * m + m, m + 1: m}
+        histogram = Counter(g.degrees())
+        assert histogram == {m: m * m + m, m + 1: m}
         # edge count recomputed independently from the degree histogram
-        assert g.num_edges == sum(d * c for d, c in summary.histogram.items()) // 2
+        assert g.num_edges == sum(d * c for d, c in histogram.items()) // 2
         assert g.num_edges == m * (m + 1) ** 2 // 2
 
     def test_hub_degree_exceeds_clique_degree_by_one(self):
@@ -244,24 +256,28 @@ class TestHmFamily:
 
 
 class TestDegreeSummary:
+    """Per-vertex degrees and the report's degree -> count histogram."""
+
     def test_triangle(self):
-        assert degree_summary(complete_graph(3)).degrees == (2, 2, 2)
+        assert complete_graph(3).degrees() == [2, 2, 2]
 
     def test_h4_histogram(self):
-        assert degree_summary(hm_graph(4)).histogram == {4: 20, 5: 4}
+        histogram = verify_counterexample(hm_graph(4)).degree_histogram
+        assert histogram == {4: 20, 5: 4}
+        assert list(histogram) == [4, 5]
 
     def test_edgeless(self):
-        s = degree_summary(Graph(2, frozenset()))
-        assert s.degrees == (0, 0)
-        assert s.histogram == {0: 2}
+        g = Graph(2, frozenset())
+        assert g.degrees() == [0, 0]
+        assert verify_counterexample(g).degree_histogram == {0: 2}
 
     def test_degree_sum_is_twice_edge_count(self, corpus):
         for g in corpus[:50]:
-            assert sum(degree_summary(g).degrees) == 2 * g.num_edges
+            assert sum(g.degrees()) == 2 * g.num_edges
 
     def test_regular_flag(self):
-        assert len(degree_summary(cycle_graph(5)).histogram) <= 1
-        assert len(degree_summary(star_graph(3)).histogram) > 1
+        assert len(verify_counterexample(cycle_graph(5)).degree_histogram) <= 1
+        assert len(verify_counterexample(star_graph(3)).degree_histogram) > 1
 
 
 class TestNamedGraphs:

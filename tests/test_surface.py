@@ -34,7 +34,6 @@ PUBLIC_API = [
     "CounterexampleReport",
     "CrossingReport",
     "CrossingScan",
-    "DegreeSummary",
     "EdgeListError",
     "EigendecompositionError",
     "EntropyReport",
@@ -47,7 +46,6 @@ PUBLIC_API = [
     "WalkRegularityWitness",
     "__version__",
     "closed_walk_table",
-    "degree_summary",
     "eigendecompose",
     "find_crossings",
     "hm_graph",

@@ -517,21 +517,23 @@ class TestWorkCounts:
         assert len(scanned) == scanned_pairs
 
     @pytest.mark.parametrize(
-        "graph, scanned_pairs, negative_pairs",
+        "graph, scanned_pairs, negative_pairs, work_pairs",
         [
-            (star_graph(3), 0, 0),
-            (path_graph(5), 1, 0),
-            (hm_graph(4), 1, 1),
-            (Graph(25, hm_graph(4).edges), 1, 1),
-            (DEEP_PAIR_TREE, 6, 0),
+            (star_graph(3), 0, 0, 0),
+            (path_graph(5), 1, 0, 0),
+            (hm_graph(4), 1, 1, 1),
+            (Graph(25, hm_graph(4).edges), 1, 1, 1),
+            (DEEP_PAIR_TREE, 6, 0, 1),
         ],
         ids=["star3", "path5", "HM4", "HM4+isolated", "deep-pair-tree"],
     )
-    def test_grid_signs_are_resolved_only_for_pairs_that_reach_minus_floor(
-        self, monkeypatch, graph, scanned_pairs, negative_pairs
+    def test_grid_signs_are_resolved_only_for_pairs_with_work(
+        self, monkeypatch, graph, scanned_pairs, negative_pairs, work_pairs
     ):
         # the main grid's signs and brackets: calls on the floor and grid
-        # that _scan hands _scan_pair, not on a refinement sub-grid
+        # that _scan hands _scan_pair, not on a refinement sub-grid.  A
+        # pair has work when a node beta > 0 is at or below -floor or an
+        # interior node is a local minimum of |diff| below the trigger
         temperature = walkentropy.temperature
         real_scan, real_signs, real_bisect = (
             temperature._scan_pair,
@@ -539,11 +541,17 @@ class TestWorkCounts:
             temperature._bisect_changes,
         )
         grid = {}
-        negative, signs_calls, bisect_calls = [], [], []
+        negative, work, signs_calls, bisect_calls = [], [], [], []
 
         def scan_pair(d, betas, diff, floor, trigger, *rest):
             grid.update(betas=betas, floor=floor)
             negative.append(bool((diff[1:] <= -floor[1:]).any()))
+            a = np.abs(diff)
+            dip = any(
+                a[t] < trigger[t] and a[t] <= a[t - 1] and a[t] <= a[t + 1]
+                for t in range(1, diff.size - 1)
+            )
+            work.append(negative[-1] or dip)
             return real_scan(d, betas, diff, floor, trigger, *rest)
 
         def resolved_signs(values, floor, first):
@@ -559,7 +567,8 @@ class TestWorkCounts:
         monkeypatch.setattr(temperature, "_bisect_changes", bisect_changes)
         find_crossings(graph)
         assert (len(negative), sum(negative)) == (scanned_pairs, negative_pairs)
-        assert sum(signs_calls) == sum(bisect_calls) == negative_pairs
+        assert sum(work) == work_pairs
+        assert sum(signs_calls) == sum(bisect_calls) == work_pairs
 
     def test_repeated_reports_hold_no_memory(self):
         # 12 vertices in 12 classes: the walk table, the classes and the
