@@ -34,14 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import MAXIMALITY_TOL, _scan_table, walk_entropy
+from .entropy import _scan_table, walk_entropy
 from .graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from .spectral import (
     CentralityOverflowError,
     EigendecompositionError,
     eigendecompose,
 )
-from .temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
+from .temperature import find_crossings, verify_counterexample
 from .walks import is_walk_regular
 
 # MemoryError: a grid or an adjacency matrix too large to build, e.g. --step 1e-12
@@ -68,13 +68,6 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for ``--tol``: a finite float > 0."""
-    if (value := _finite(text)) <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -165,7 +158,7 @@ def _cmd_check_walk_regular(args) -> int:
 def _cmd_entropy(args) -> int:
     g = _load_graph(args)
     d = eigendecompose(g)
-    report = walk_entropy(d, args.beta, args.tol)
+    report = walk_entropy(d, args.beta)
     if args.format == "json":
         _print_json(report.as_dict())
     elif args.format == "csv":
@@ -253,7 +246,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_find_crossings(args) -> int:
-    scan = find_crossings(_load_graph(args), args.beta_max, args.step, args.tol)
+    scan = find_crossings(_load_graph(args), args.beta_max, args.step)
     if args.format == "json":
         _print_json(scan.as_dict())
         return 0
@@ -324,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     io_csv = io_options(("csv", "json", "human"))
     io_no_csv = io_options(("json", "human"))
 
-    def tol_option(default: float) -> argparse.ArgumentParser:
-        parent = _Parser(add_help=False)  # one per command, each with its default
-        text = "largest relative spread counted as maximal (default %(default)g)"
-        parent.add_argument("--tol", type=_tolerance, default=default, metavar="F", help=text)
-        return parent
-
     grid_parent = _Parser(add_help=False)
     grid_parent.add_argument("--beta-max", type=_finite, default=10.0, help="scan end (default 10)")
     grid_parent.add_argument("--step", type=_finite, default=0.01, help="grid step (default 0.01)")
@@ -343,10 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_check_walk_regular)
 
-    p = sub.add_parser(
-        "entropy", parents=[io_csv, tol_option(MAXIMALITY_TOL)],
-        help="walk entropy at one temperature",
-    )
+    p = sub.add_parser("entropy", parents=[io_csv], help="walk entropy at one temperature")
     p.add_argument("--beta", type=_finite, required=True, help="temperature (>= 0)")
     p.set_defaults(func=_cmd_entropy)
 
@@ -358,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "find-crossings",
-        parents=[io_no_csv, tol_option(CROSSING_SPREAD_TOL), grid_parent],
+        parents=[io_no_csv, grid_parent],
         help="all maximal-entropy temperatures in (0, beta-max]",
     )
     p.set_defaults(func=_cmd_find_crossings)

@@ -23,7 +23,7 @@ __all__ = [
     "walk_entropy",
 ]
 
-#: Default relative diagonal spread below which entropy counts as maximal.
+#: Relative diagonal spread at or below which entropy counts as maximal.
 MAXIMALITY_TOL = 1e-10
 
 
@@ -78,20 +78,15 @@ def _row_entropies(
     return p, entropies, spreads
 
 
-def walk_entropy(
-    d: SpectralDecomposition, beta: float, tol: float = MAXIMALITY_TOL
-) -> EntropyReport:
+def walk_entropy(d: SpectralDecomposition, beta: float) -> EntropyReport:
     """Walk entropy at temperature beta (natural-log units); -0.0 reads as 0.0.
 
-    Maximal means a relative spread at most ``tol``, a finite float > 0.
+    Maximal means a relative spread at most ``MAXIMALITY_TOL``.
     The scan table's evaluation at one beta: each field is bitwise its cell.
     """
     _check_finite(beta=beta)
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    _check_finite(tol=tol)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     # + 0.0 turns -0.0 into 0.0, as the scan grid's beta_min + 0 * step does
     beta += 0.0
     values, traces = _centrality_rows(d, np.array([beta], dtype=float))
@@ -106,7 +101,7 @@ def walk_entropy(
         probabilities=p[0],
         trace=float(traces[0]),
         spread=spread,
-        is_maximal=spread <= tol,
+        is_maximal=spread <= MAXIMALITY_TOL,
     )
 
 

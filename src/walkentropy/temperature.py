@@ -51,7 +51,7 @@ __all__ = [
     "verify_counterexample",
 ]
 
-#: A candidate root qualifies only if the relative diagonal spread is below this.
+#: A candidate root qualifies only if the relative diagonal spread is at or below this.
 CROSSING_SPREAD_TOL = 1e-8
 
 #: Bisection stops once the bracket is at most this wide.
@@ -275,7 +275,7 @@ def _busy_pairs(f: np.ndarray, trigger: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _scan(
-    g: Graph, beta_max: float, grid_step: float, spread_tol: float
+    g: Graph, beta_max: float, grid_step: float
 ) -> tuple[WalkRegularityVerdict, CrossingScan]:
     """Shared body of :func:`find_crossings` and :func:`verify_counterexample`.
 
@@ -286,7 +286,7 @@ def _scan(
     eigenvectors the table makes needless.
     Warnings point at the caller of the public function.
     """
-    limits = {"beta_max": beta_max, "grid_step": grid_step, "spread_tol": spread_tol}
+    limits = {"beta_max": beta_max, "grid_step": grid_step}
     _check_finite(**limits)
     for name, value in limits.items():
         if value <= 0:
@@ -341,7 +341,7 @@ def _scan(
         values = _centrality_rows(d, np.array([c[0] for c in merged]))[0]
         spreads = _row_spreads(values).tolist()
         for (beta_star, lo, hi, pair), row, spread in zip(merged, values, spreads):
-            if spread <= spread_tol:
+            if spread <= CROSSING_SPREAD_TOL:
                 class_values = tuple(row[reps].tolist())
                 crossings.append(CrossingReport(beta_star, (lo, hi), class_values, spread, pair))
             else:
@@ -351,12 +351,7 @@ def _scan(
     return verdict, scan
 
 
-def find_crossings(
-    g: Graph,
-    beta_max: float = 10.0,
-    grid_step: float = 0.01,
-    spread_tol: float = CROSSING_SPREAD_TOL,
-) -> CrossingScan:
+def find_crossings(g: Graph, beta_max: float = 10.0, grid_step: float = 0.01) -> CrossingScan:
     """Locate every beta in (0, beta_max] at which walk entropy is maximal.
 
     Walk-regular graphs short-circuit to the "maximal for all beta" marker.
@@ -365,9 +360,9 @@ def find_crossings(
     width <= 1e-12, and bisected roots where the remaining classes do not
     agree are reported separately as pairwise-only crossings.  Roots the
     main grid missed but the refinement pass caught are accompanied by a
-    :class:`CoarseGridWarning`.  ``spread_tol`` must be finite and > 0.
+    :class:`CoarseGridWarning`.
     """
-    return _scan(g, beta_max, grid_step, spread_tol)[1]
+    return _scan(g, beta_max, grid_step)[1]
 
 
 def verify_counterexample(
@@ -383,7 +378,7 @@ def verify_counterexample(
     only if every c_j does, i.e. only if the two classes are one.  The report
     also records whether the located crossings number at most n - 1.
     """
-    verdict, scan = _scan(g, beta_max, grid_step, CROSSING_SPREAD_TOL)
+    verdict, scan = _scan(g, beta_max, grid_step)
     count = len(scan.crossings)
     return CounterexampleReport(
         verdict=verdict,

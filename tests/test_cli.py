@@ -1,7 +1,6 @@
 """CLI surface: dispatch, formats, exit codes, determinism; package surface."""
 
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -467,15 +466,11 @@ def test_usage_error_exit_code_is_one(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("find-crossings", "--hm", "4", "--tol", "-1"), "--tol"),
-        (("entropy", "--hm", "4", "--beta", "1", "--tol", "-1"), "--tol"),
         (("entropy", "--hm", "4", "--beta", "nan"), "--beta"),
         (("scan", "--hm", "4", "--beta-max", "inf"), "--beta-max"),
         (("find-crossings", "--hm", "4", "--beta-max", "nan"), "--beta-max"),
     ],
     ids=[
-        "find-crossings-tol-negative",
-        "entropy-tol-negative",
         "entropy-beta-nan",
         "scan-beta-max-inf",
         "find-crossings-beta-max-nan",
@@ -488,11 +483,26 @@ def test_bad_number_is_usage_error(capsys, argv, flag):
     assert f"argument {flag}: must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["scan", "check-walk-regular", "verify-counterexample"])
-def test_tol_only_on_commands_it_acts_on(capsys, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-walk-regular",),
+        ("entropy", "--beta", "1"),
+        ("scan",),
+        ("find-crossings",),
+        ("verify-counterexample",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_takes_tol(capsys, monkeypatch, argv):
+    # the spread each command tests is printed; its tolerance is a constant
+    stdin = io.StringIO(serialize_edge_list(hm_graph(4)))
+    monkeypatch.setattr("sys.stdin", stdin)
     with pytest.raises(SystemExit) as exc:
-        main([command, "--hm", "4", "--tol", "1"])
+        main([*argv, "-", "--tol", "1"])
     assert exc.value.code == 1
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    assert stdin.tell() == 0  # refused before the input is read
 
 
 @pytest.mark.parametrize(
@@ -606,38 +616,6 @@ class TestToleranceDefaults:
         _, out, _ = run(capsys, *argv)
         assert "spread = 7.99222e-10" in out
         assert "maximal = false" in out
-        _, out, _ = run(capsys, *argv, "--tol", "1e-8")
-        assert "maximal = true" in out
-
-    @pytest.mark.parametrize(
-        "argv, function, param, expected",
-        [
-            (("entropy", "--beta", "1"), "walk_entropy", "tol", entropy.MAXIMALITY_TOL),
-            (
-                ("find-crossings",),
-                "find_crossings",
-                "spread_tol",
-                temperature.CROSSING_SPREAD_TOL,
-            ),
-        ],
-        ids=["entropy", "find-crossings"],
-    )
-    def test_tolerance_handed_to_the_library(
-        self, capsys, monkeypatch, argv, function, param, expected
-    ):
-        real = getattr(cli, function)
-        seen = []
-
-        def spy(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append(bound.arguments[param])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, function, spy)
-        code, _, _ = run(capsys, *argv, "--hm", "4")
-        assert code == 0
-        assert seen == [expected]
 
 
 def test_readme_find_crossings_example_is_current(capsys):

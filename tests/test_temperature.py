@@ -39,6 +39,7 @@ from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import Graph, hm_graph, parse_edge_list
 from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.temperature import (
+    CROSSING_SPREAD_TOL,
     REFINE_TRIGGER,
     SIGN_FLOOR,
     CoarseGridWarning,
@@ -187,8 +188,8 @@ class TestFindCrossings:
     def test_h4_roots_are_maximal_entropy_points(self):
         d = eigendecompose(hm_graph(4))
         for c in find_crossings(hm_graph(4)).crossings:
-            report = walk_entropy(d, c.beta_star, tol=1e-8)
-            assert report.is_maximal
+            report = walk_entropy(d, c.beta_star)
+            assert report.spread <= CROSSING_SPREAD_TOL
             assert abs(report.deficit) <= 1e-12
 
     def test_h4_sign_regimes(self):
@@ -257,19 +258,6 @@ class TestFindCrossings:
             find_crossings(g, beta_max=0.0)
         with pytest.raises(ValueError):
             find_crossings(g, grid_step=-0.1)
-
-    @pytest.mark.parametrize(
-        "spread_tol, message",
-        [
-            (math.nan, "spread_tol must be finite, got nan"),
-            (math.inf, "spread_tol must be finite, got inf"),
-            (-1.0, "spread_tol must be positive, got -1.0"),
-            (0.0, "spread_tol must be positive, got 0.0"),
-        ],
-    )
-    def test_spread_tol_must_be_finite_and_positive(self, spread_tol, message):
-        with pytest.raises(ValueError, match=message):
-            find_crossings(hm_graph(4), spread_tol=spread_tol)
 
     @pytest.mark.parametrize("run", [find_crossings, verify_counterexample])
     @pytest.mark.parametrize("arg", ["beta_max", "grid_step"])
