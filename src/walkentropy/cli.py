@@ -4,7 +4,7 @@ Commands
     gen-hm M                  emit the hub-matching graph HM(M) as an edge list
     check-walk-regular        exact walk-regularity verdict
     entropy --beta B          walk entropy at a single temperature
-    scan                      entropy over a beta grid (CSV-friendly)
+    scan                      entropy over a beta grid (the one CSV output)
     find-crossings            all maximal-entropy temperatures in (0, beta-max]
     verify-counterexample     combined report including conjecture checks
 
@@ -156,17 +156,9 @@ def _cmd_check_walk_regular(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    g = _load_graph(args)
-    d = eigendecompose(g)
-    report = walk_entropy(d, args.beta)
+    report = walk_entropy(eigendecompose(_load_graph(args)), args.beta)
     if args.format == "json":
         _print_json(report.as_dict())
-    elif args.format == "csv":
-        # the scan-table row of the report, bitwise, without a second evaluation
-        reps = [c[0] for c in is_walk_regular(g).classes]
-        row = [report.beta, report.entropy, report.max_entropy, report.deficit, report.spread]
-        row += (report.probabilities[reps] * report.trace).tolist()
-        print("\n".join(_csv_lines(np.array([row]), reps)))
     else:
         print(f"beta = {_human(report.beta)}")
         print(f"entropy = {_human(report.entropy)}")
@@ -330,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_check_walk_regular)
 
-    p = sub.add_parser("entropy", parents=[io_csv], help="walk entropy at one temperature")
+    p = sub.add_parser("entropy", parents=[io_no_csv], help="walk entropy at one temperature")
     p.add_argument("--beta", type=_finite, required=True, help="temperature (>= 0)")
     p.set_defaults(func=_cmd_entropy)
 

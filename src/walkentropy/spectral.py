@@ -13,13 +13,12 @@ eigenvalues in :mod:`walkentropy.walks`.
 
 exp(beta * lambda) over a set of betas is formed in one place,
 ``_exp_rows``, which raises :class:`CentralityOverflowError` at the first
-beta whose exponential or trace is not finite.
+beta whose trace is not finite; ``_centrality_rows`` raises the same
+error at the first beta with a diagonal entry that is not finite.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ __all__ = [
 
 #: Residual bound for accepted eigenpairs: ||A u - lambda u|| <= tol * max(1, ||A||_2).
 RESIDUAL_TOL = 1e-10
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _TRACE_OVERFLOW = "trace of exp(beta*A) overflows double precision at beta={:.6g}"
 
@@ -96,24 +93,16 @@ def _exp_rows(d: SpectralDecomposition, betas: np.ndarray) -> tuple[np.ndarray, 
     """exp(outer(betas, lambda)), one row per beta, and its row sums (the traces).
 
     The one evaluator of exp(beta * lambda) over a set of betas.  Raises
-    :class:`CentralityOverflowError` naming the first beta at which
-    exp(beta * lambda_k) or the trace is not finite.
+    :class:`CentralityOverflowError` naming the first beta whose trace is
+    not finite, which every row with an overflowing exponential has.
     """
     x = betas[:, None] * d.eigenvalues
-    # the eigenvalues descend, so a row peaks at its first or last entry
-    peaks = np.maximum(x[:, 0], x[:, -1])
-    over = peaks > _LOG_FLOAT_MAX
-    stop = int(over.argmax()) if over.any() else betas.size
-    e = np.exp(x[:stop], out=x[:stop])  # every exponent <= log(DBL_MAX): finite
     with np.errstate(over="ignore"):  # reported below, by beta
+        e = np.exp(x, out=x)
         traces = e.sum(axis=1)
     finite = np.isfinite(traces)
     if not finite.all():
         raise CentralityOverflowError(_TRACE_OVERFLOW.format(betas[int(finite.argmin())]))
-    if stop < betas.size:
-        raise CentralityOverflowError(
-            f"exp({peaks[stop]:.6g}) overflows double precision at beta={betas[stop]:.6g}"
-        )
     return e, traces
 
 

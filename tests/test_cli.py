@@ -123,8 +123,9 @@ class TestEntropy:
         assert sum(doc["probabilities"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_csv_single_row(self, capsys):
+        # the CSV row at one temperature is a one-row scan
         code, out, _ = run(
-            capsys, "entropy", "--hm", "4", "--beta", "0.5", "--format", "csv"
+            capsys, "scan", "--hm", "4", "--beta-min", "0.5", "--beta-max", "0.5", "--format", "csv"
         )
         lines = out.strip().splitlines()
         assert lines[0].startswith("beta,entropy,max_entropy,deficit,spread")
@@ -136,7 +137,11 @@ class TestEntropy:
     )
     def test_minus_zero_beta_prints_zero(self, capsys, fmt, beta_text):
         # -0.0 reads as 0.0, the beta that the CSV row always printed
-        code, out, _ = run(capsys, "entropy", "--hm", "4", "--beta", "-0", "--format", fmt)
+        if fmt == "csv":  # the one-row scan
+            argv = ("scan", "--hm", "4", "--beta-min", "-0", "--beta-max", "-0")
+        else:
+            argv = ("entropy", "--hm", "4", "--beta", "-0")
+        code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert beta_text in out
         assert "-0" not in out
@@ -191,11 +196,16 @@ class TestEntropy:
         assert "argument --beta: invalid float value: 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 @pytest.mark.parametrize(
-    "argv",
-    [("entropy", "--beta", "1"), ("scan", "--beta-max", "1", "--step", "0.5")],
-    ids=lambda argv: argv[0],
+    "argv, fmt",
+    [
+        *((("entropy", "--beta", "1"), fmt) for fmt in ("human", "json")),
+        *((("scan", "--beta-max", "1", "--step", "0.5"), fmt) for fmt in ("human", "json", "csv")),
+        (("scan", "--beta-min", "1", "--beta-max", "1"), "csv"),
+    ],
+    ids=[
+        "entropy-human", "entropy-json", "scan-human", "scan-json", "scan-csv", "scan-row-csv"
+    ],
 )
 def test_one_vertex_entropy_is_positive_zero(capsys, monkeypatch, argv, fmt):
     # the entropy of the one-point distribution is 0, printed without a sign
@@ -416,12 +426,13 @@ class TestFindCrossings:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("verify-counterexample", "200"), "exp(838.516) overflows double precision at beta=200"),
-            (("find-crossings", "800"), "exp(3354.07) overflows double precision at beta=800"),
+            (("verify-counterexample", "200"), "trace of exp(beta*A) overflows double precision at beta=200"),
+            (("find-crossings", "800"), "trace of exp(beta*A) overflows double precision at beta=800"),
         ],
         ids=["verify-counterexample", "find-crossings"],
     )
     def test_peak_overflow_message(self, capsys, argv, message):
+        # exp(beta * lambda_max) itself overflows at beta_max, so the trace is infinite
         code, out, err = run(capsys, argv[0], "--hm", "4", "--beta-max", argv[1])
         assert (code, out, err) == (2, "", f"computation error: {message}\n")
 
@@ -512,6 +523,7 @@ def test_no_command_takes_tol(capsys, monkeypatch, argv):
         # both would fail in the computation: a 72.8 TiB grid, exp overflow
         ("find-crossings", ("--step", "1e-12")),
         ("verify-counterexample", ("--beta-max", "800")),
+        ("entropy", ("--beta", "1")),
     ],
 )
 def test_csv_is_rejected_before_any_work(capsys, monkeypatch, command, extra):
@@ -532,7 +544,7 @@ def test_csv_is_rejected_before_any_work(capsys, monkeypatch, command, extra):
     [
         ("gen-hm", "4"),
         ("check-walk-regular", "--hm", "4"),
-        ("entropy", "--hm", "4", "--beta", "1", "--format", "csv"),
+        ("entropy", "--hm", "4", "--beta", "1", "--format", "json"),
         ("scan", "--hm", "4", "--beta-max", "2", "--step", "0.5", "--format", "csv"),
         ("find-crossings", "--hm", "4", "--format", "json"),
         ("verify-counterexample", "--hm", "4"),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import walkentropy.cli
 import walkentropy.entropy
-import walkentropy.spectral
 from conftest import (
     TWO_K4,
     centrality,
@@ -192,7 +191,7 @@ class TestEntropyScan:
 
 
 class TestTraceOverflow:
-    """An overflowing trace below the exp guard is an error, not garbage."""
+    """An overflowing trace is an error, not garbage."""
 
     def test_single_beta(self):
         d = eigendecompose(parse_edge_list(TWO_K4))
@@ -252,30 +251,6 @@ class TestScanWorkCounts:
             assert main(argv) == 0
         assert out.getvalue().count("\n") > 4001
         assert counts == {"_centrality_rows": 1}
-
-    def test_cli_entropy_csv_evaluates_the_diagonal_once(self, monkeypatch):
-        counts = _count_calls(monkeypatch, (
-            (walkentropy.spectral, "_centrality_rows"),
-            (walkentropy.entropy, "_centrality_rows"),
-        ))
-        argv = ["entropy", "--hm", "4", "--beta", "1", "--format", "csv"]
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main(argv) == 0
-        assert out.getvalue().count("\n") == 2
-        assert counts == {"_centrality_rows": 1}
-
-    @settings(max_examples=40, deadline=None)
-    @given(graphs(max_n=16), st.floats(min_value=0.0, max_value=40.0))
-    def test_cli_entropy_csv_is_the_scan_table_row(self, g, beta):
-        d = eigendecompose(g)
-        beta = min(beta, 700.0 / max(1.0, float(d.eigenvalues[0])))
-        reps = [c[0] for c in is_walk_regular(g).classes]
-        expected = _csv_lines(_scan_table(d, beta, beta, 1.0, reps), reps)
-        out = io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(serialize_edge_list(g))):
-            with contextlib.redirect_stdout(out):
-                assert main(["entropy", "-", "--beta", repr(beta), "--format", "csv"]) == 0
-        assert out.getvalue() == "\n".join(expected) + "\n"
 
 
 def _fields(r):

@@ -15,7 +15,12 @@ from conftest import (
     taylor_required_terms,
 )
 from walkentropy.graphs import Graph, hm_graph
-from walkentropy.spectral import CentralityOverflowError, eigendecompose
+from walkentropy.spectral import (
+    CentralityOverflowError,
+    SpectralDecomposition,
+    _centrality_rows,
+    eigendecompose,
+)
 from walkentropy.walks import closed_walk_table
 
 H4_DISTINCT = [
@@ -128,6 +133,13 @@ class TestCentralityDiagonal:
         d = eigendecompose(hm_graph(4))
         with pytest.raises(CentralityOverflowError, match="beta=200"):
             centrality(d, 200.0)
+
+    def test_overflowing_diagonal_under_a_finite_trace_is_explicit(self):
+        # exp(700) ~ 1e304 is finite; the weight 1e5 puts the diagonal past DBL_MAX
+        d = SpectralDecomposition(np.array([700.0]), np.array([[1e5]]))
+        message = r"^trace of exp\(beta\*A\) overflows double precision at beta=1$"
+        with pytest.raises(CentralityOverflowError, match=message):
+            _centrality_rows(d, np.array([1.0]))
 
 
 class TestTaylorOracle:

@@ -43,6 +43,7 @@ from walkentropy.temperature import (
     REFINE_TRIGGER,
     SIGN_FLOOR,
     CoarseGridWarning,
+    _bisect_changes,
     _busy_pairs,
     _resolved_signs,
     _scan_pair,
@@ -281,8 +282,14 @@ class TestFindCrossings:
         # 2.4e14 grid nodes would not fit in memory; beta_max is checked first
         with pytest.raises(CentralityOverflowError, match=r"^trace .* at beta=236\.5$"):
             find_crossings(parse_edge_list(TWO_K4_K2), beta_max=236.5, grid_step=1e-12)
-        with pytest.raises(CentralityOverflowError, match=r"^exp\(3354\.07\) .* at beta=800$"):
+        with pytest.raises(CentralityOverflowError, match=r"^trace .* at beta=800$"):
             find_crossings(hm_graph(4), beta_max=800.0, grid_step=1e-12)
+
+    def test_bisection_stops_at_an_exact_zero(self):
+        # -1 + e^beta is exactly 0 at the first midpoint, beta = 0
+        wdiff, lam = np.array([-1.0, 1.0]), np.array([0.0, 1.0])
+        roots = _bisect_changes(wdiff, lam, np.array([-1.0, 1.0]), np.array([-1, 1]))
+        assert roots == [(0.0, 0.0, 0.0)]
 
     def test_refinement_catches_close_root_pair(self):
         # synthetic pair difference 2*cosh(beta - r) - 2 - eps: two roots
@@ -440,7 +447,7 @@ class TestWorkCounts:
         [
             ("check-walk-regular",),
             ("entropy", "--beta", "1"),
-            ("entropy", "--beta", "1", "--format", "csv"),
+            ("entropy", "--beta", "1", "--format", "json"),
             ("scan", "--beta-max", "1", "--step", "0.5"),
             ("find-crossings",),
             ("verify-counterexample",),
