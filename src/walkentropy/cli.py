@@ -156,7 +156,7 @@ def _cmd_check_walk_regular(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    report = walk_entropy(eigendecompose(_load_graph(args)), args.beta)
+    report = walk_entropy(_load_graph(args), args.beta)
     if args.format == "json":
         _print_json(report.as_dict())
     else:

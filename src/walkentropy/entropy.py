@@ -1,11 +1,11 @@
 """Walk entropy and the maximal-entropy predicate.
 
 The walk entropy at temperature beta is the Shannon entropy (natural log)
-of the distribution proportional to the diagonal of exp(beta*A).  It
-attains its maximum log n exactly when all diagonal entries agree, so
-maximality is decided on the *relative spread* of the diagonal, not on
-|entropy - log n|: the entropy deficit is quadratic in the spread and a
-comparison there would forfeit half of the available precision.
+of the distribution proportional to the diagonal of exp(beta*A).  It is
+maximal, log n, exactly when all diagonal entries agree: at beta = 0, and
+at a float beta > 0 exactly when the graph is walk-regular (a float is
+rational; see :func:`walkentropy.temperature.verify_counterexample`), so
+the relative spread of the diagonal is only the measured distance.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, _centrality_rows
+from .graphs import Graph
+from .spectral import SpectralDecomposition, _centrality_rows, eigendecompose
+from .walks import is_walk_regular
 
-__all__ = [
-    "MAXIMALITY_TOL",
-    "EntropyReport",
-    "walk_entropy",
-]
-
-#: Relative diagonal spread at or below which entropy counts as maximal.
-MAXIMALITY_TOL = 1e-10
+__all__ = ["EntropyReport", "walk_entropy"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +73,14 @@ def _row_entropies(
     return p, entropies, spreads
 
 
-def walk_entropy(d: SpectralDecomposition, beta: float) -> EntropyReport:
+def walk_entropy(g: Graph, beta: float) -> EntropyReport:
     """Walk entropy at temperature beta (natural-log units); -0.0 reads as 0.0.
 
-    Maximal means a relative spread at most ``MAXIMALITY_TOL``.
+    Maximal means beta = 0 or walk-regular, the exact verdict, which is
+    asked only of a graph with one degree (its closed 2-walk counts).
     The scan table's evaluation at one beta: each field is bitwise its cell.
     """
+    d = eigendecompose(g)
     _check_finite(beta=beta)
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
@@ -93,6 +90,7 @@ def walk_entropy(d: SpectralDecomposition, beta: float) -> EntropyReport:
     p, entropies, spreads = _row_entropies(values, traces)
     max_entropy = math.log(p.shape[1])
     entropy, spread = float(entropies[0]), float(spreads[0])
+    maximal = beta == 0 or (len(set(g.degrees())) == 1 and is_walk_regular(g).is_walk_regular)
     return EntropyReport(
         beta=float(beta),
         entropy=entropy,
@@ -101,7 +99,7 @@ def walk_entropy(d: SpectralDecomposition, beta: float) -> EntropyReport:
         probabilities=p[0],
         trace=float(traces[0]),
         spread=spread,
-        is_maximal=spread <= MAXIMALITY_TOL,
+        is_maximal=maximal,
     )
 
 

@@ -22,8 +22,8 @@ repeats the last resolved sign; beta = 0 itself is excluded, every graph
 being trivially maximal there.  The scan covers (0, beta_max] only: a
 root beyond beta_max is not looked for.
 
-Maximality at beta = 1 is a theorem, not an open conjecture: it holds
-exactly for walk-regular graphs (see :func:`verify_counterexample`).
+Maximality at any float beta > 0, beta = 1 included, is a theorem: it
+holds exactly for walk-regular graphs (see :func:`verify_counterexample`).
 """
 
 from __future__ import annotations
@@ -227,9 +227,10 @@ def _scan_pair(
     is the 0+ sign and nothing is refined: the pair has no work.
     """
     # Refinement: a near-zero local minimum of |diff| without an adjacent
-    # sign change may hide a closely-spaced root pair inside one cell.
+    # sign change may hide a closely-spaced root pair inside one cell.  Node
+    # 0 is the exact tie at beta = 0, not a sample, so dips start at node 2.
     absd = np.abs(diff)
-    dips = np.flatnonzero(absd[1:-1] < trigger[1:-1]) + 1
+    dips = np.flatnonzero(absd[2:-1] < trigger[2:-1]) + 2
     dips = dips[(absd[dips] <= absd[dips - 1]) & (absd[dips] <= absd[dips + 1])]
     if not dips.size and not (diff[1:] <= -floor[1:]).any():
         return [], []
@@ -372,11 +373,12 @@ def verify_counterexample(
 
     A graph "is a counterexample" when it is not walk-regular yet attains
     maximal walk entropy at some located beta > 0.  Entropy is maximal at
-    beta = 1 exactly when the graph is walk-regular: a class difference is
-    sum_j c_j e^{lambda_j} with algebraic c_j (spectral projector entries)
-    and distinct algebraic lambda_j, so by Lindemann-Weierstrass it vanishes
-    only if every c_j does, i.e. only if the two classes are one.  The report
-    also records whether the located crossings number at most n - 1.
+    beta = 1, as at any float beta > 0, exactly when the graph is walk-regular:
+    a class difference is sum_j c_j e^{beta lambda_j} with algebraic c_j
+    (spectral projector entries) and distinct algebraic beta lambda_j (a float
+    is rational), so by Lindemann-Weierstrass it vanishes only if every c_j
+    does, i.e. only if the two classes are one.  The report also records
+    whether the located crossings number at most n - 1.
     """
     verdict, scan = _scan(g, beta_max, grid_step)
     count = len(scan.crossings)

@@ -51,6 +51,9 @@ TWO_K4_K2 = TWO_K4.replace("n 8", "n 10") + "8 9\n"
 # so their spectral difference at beta = 0.01 (~1e-15) is round-off
 DEEP_PAIR_TREE = Graph(7, frozenset({(0, 3), (0, 4), (1, 2), (2, 4), (3, 5), (4, 6)}))
 
+# a triangle and a square: 2-regular, yet not walk-regular (closed 3-walks)
+TRIANGLE_AND_SQUARE = Graph(7, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}))
+
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
@@ -248,7 +251,7 @@ def reference_scan_pair(
 
     The reference for ``temperature._scan_pair``: it resolves every node's
     sign for every pair, then refines each near-zero local minimum of |diff|
-    that has no adjacent sign change.  ``diff`` is f_hi - f_lo at
+    from node 2 on that has no adjacent sign change.  ``diff`` is f_hi - f_lo at
     ``betas``, positive at 0+; the pair is reported as (min, max).
     """
     pair = (min(lo, hi), max(lo, hi))
@@ -260,6 +263,8 @@ def reference_scan_pair(
 
     # Refinement: a near-zero local minimum of |diff| without an adjacent
     # sign change may hide a closely-spaced root pair inside one cell.
+    # Node 0 is the exact tie at beta = 0, not a sample of |diff|, so node 1
+    # is no local minimum against it: dips start at node 2.
     change = signs[:-1] != signs[1:]
     absd = np.abs(diff)
     interior = (
@@ -269,7 +274,7 @@ def reference_scan_pair(
         & ~change[:-1]
         & ~change[1:]
     )
-    for t in np.nonzero(interior)[0] + 1:
+    for t in np.nonzero(interior[1:])[0] + 2:
         # spans the two surrounding cells; the last cell may be shorter than
         # grid_step when beta_max is not step-aligned, so interpolate rather
         # than assume a uniform width
@@ -393,12 +398,13 @@ def taylor_diagonal_oracle(
     return Diagonal(values, float(values.sum()))
 
 
-def per_point_report(d: SpectralDecomposition, beta: float, tol: float) -> EntropyReport:
+def per_point_report(d: SpectralDecomposition, beta: float, walk_regular: bool) -> EntropyReport:
     """Walk entropy at one beta by the one-point formulas, no batching.
 
     The reference for the batched grid: the diagonal is the gemv
     ``weights @ exp(beta * lambda)``, its trace the sum of the exponentials,
-    and the entropy that of the nonzero probabilities.
+    and the entropy that of the nonzero probabilities.  ``walk_regular`` is
+    the graph's exact verdict, which with beta = 0 decides maximality.
     """
     e = np.exp(beta * d.eigenvalues)
     values, trace = d.weights @ e, float(e.sum())
@@ -415,16 +421,16 @@ def per_point_report(d: SpectralDecomposition, beta: float, tol: float) -> Entro
         probabilities=p,
         trace=trace,
         spread=spread,
-        is_maximal=spread <= tol,
+        is_maximal=beta == 0 or walk_regular,
     )
 
 
 def per_point_scan(
-    d: SpectralDecomposition, beta_min: float, beta_max: float, step: float, tol: float
+    d: SpectralDecomposition, beta_min: float, beta_max: float, step: float, walk_regular: bool
 ) -> list[EntropyReport]:
     """The scan grid evaluated one beta at a time."""
     count = int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
-    return [per_point_report(d, beta_min + t * step, tol) for t in range(count)]
+    return [per_point_report(d, beta_min + t * step, walk_regular) for t in range(count)]
 
 
 def per_point_scan_csv(reports: list[EntropyReport], class_reps: list[int]) -> str:

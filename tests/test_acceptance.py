@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     DEEP_PAIR_TREE,
+    TRIANGLE_AND_SQUARE,
     centrality,
     complete_graph,
     cycle_graph,
@@ -22,7 +23,7 @@ from conftest import (
     taylor_diagonal_oracle,
     taylor_required_terms,
 )
-from walkentropy.entropy import MAXIMALITY_TOL, walk_entropy
+from walkentropy.entropy import walk_entropy
 from walkentropy.graphs import hm_graph
 from walkentropy.spectral import eigendecompose
 from walkentropy.temperature import CROSSING_SPREAD_TOL, find_crossings, verify_counterexample
@@ -77,15 +78,14 @@ def test_criterion_3_crossing_temperatures():
     low, high = scan.crossings
     assert low.beta_star == pytest.approx(0.499, abs=5e-3)
     assert high.beta_star == pytest.approx(1.912, abs=5e-3)
-    d = eigendecompose(g)
     for c in scan.crossings:
         assert c.bracket[1] - c.bracket[0] <= 1e-12
-        assert walk_entropy(d, c.beta_star).spread <= CROSSING_SPREAD_TOL
+        assert walk_entropy(g, c.beta_star).spread <= CROSSING_SPREAD_TOL
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(
         f"criterion 3: exactly two crossings {low.beta_star:.6f}, "
-        f"{high.beta_star:.6f}; brackets <= 1e-12; maximal at 1e-8 ({elapsed:.2f}s)"
+        f"{high.beta_star:.6f}; brackets <= 1e-12; spread <= 1e-8 ({elapsed:.2f}s)"
     )
 
 
@@ -143,12 +143,12 @@ def test_criterion_7_entropy_bounds_and_flatness(corpus):
     betas = (0.1, 0.5, 1.0, 2.0, 5.0)
     walk_regular_count = 0
     for g in corpus:
-        d = eigendecompose(g)
         regular = is_walk_regular(g).is_walk_regular
         walk_regular_count += regular
         for beta in betas:
-            report = walk_entropy(d, beta)
+            report = walk_entropy(g, beta)
             assert 0.0 <= report.entropy <= math.log(g.n) + 1e-12
+            assert report.is_maximal == regular
             if regular:
                 assert report.entropy == pytest.approx(math.log(g.n), abs=1e-12)
     _passed(
@@ -179,24 +179,27 @@ def test_criterion_8_h4_sign_regimes():
 def test_criterion_9_conjecture_harness(corpus):
     # beta = 1 is a theorem (Lindemann-Weierstrass: a class difference
     # sum_j c_j e^{lambda_j} with algebraic c_j, lambda_j vanishes only when
-    # every c_j does), so the flag is asserted to be the exact verdict, with
-    # the float spread at beta = 1 as the independent cross-check
+    # every c_j does), so the flag is asserted to be the exact verdict, and
+    # walk_entropy's flag to be the same, with the float spread at beta = 1
+    # as the independent cross-check
     named = (
         [complete_graph(n) for n in range(2, 9)]
         + [cycle_graph(n) for n in range(3, 11)]
-        + [petersen_graph(), star_graph(3), path_graph(3), DEEP_PAIR_TREE]
+        + [petersen_graph(), star_graph(3), path_graph(3), DEEP_PAIR_TREE, TRIANGLE_AND_SQUARE]
         + [hm_graph(m) for m in range(3, 7)]
     )
     findings = []
     checked = 0
     for g in corpus + named:
         report = verify_counterexample(g)
+        at_one = walk_entropy(g, 1.0)
         walk_regular = is_walk_regular(g).is_walk_regular
         assert report.entropy_maximal_at_beta_one == walk_regular
+        assert at_one.is_maximal == report.entropy_maximal_at_beta_one
         if walk_regular:
             continue
         checked += 1
-        assert walk_entropy(eigendecompose(g), 1.0).spread > MAXIMALITY_TOL
+        assert at_one.spread > 1e-10
         # the crossing-count bound n - 1 stays a flagged finding until a
         # certified root count replaces the grid scan
         if report.crossing_count > g.n - 1:
@@ -207,7 +210,7 @@ def test_criterion_9_conjecture_harness(corpus):
         print(f"FLAGGED FINDING (check before celebrating): {finding}")
     _passed(
         f"criterion 9: beta = 1 flag equals the exact verdict on "
-        f"{len(corpus) + len(named)} graphs, float spread > {MAXIMALITY_TOL:g} on "
+        f"{len(corpus) + len(named)} graphs, as is walk_entropy's; float spread > 1e-10 on "
         f"all {checked} non-walk-regular ones; {len(findings)} flagged "
         "crossing-bound findings"
     )

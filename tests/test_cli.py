@@ -114,6 +114,19 @@ class TestEntropy:
         assert "entropy = 3.17737" in out
         assert "maximal = false" in out
 
+    def test_float_beta_is_not_maximal_however_small_the_spread(self, capsys):
+        # HM(4) is not walk-regular, so no float beta > 0 is maximal (a
+        # crossing is transcendental), though the spread here is 1.05e-11
+        argv = ("entropy", "--hm", "4", "--beta", "0.499001413")
+        _, out, _ = run(capsys, *argv)
+        assert "spread = 1.05215e-11\nmaximal = false\n" in out
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert f"{doc['spread']:.6g}" == "1.05215e-11"
+        assert doc["is_maximal"] is False
+        _, out, _ = run(capsys, "entropy", "--hm", "4", "--beta", "0")
+        assert out.endswith("maximal = true\n")
+
     def test_json_probabilities_sum_to_one(self, capsys):
         code, out, _ = run(
             capsys, "entropy", "--hm", "4", "--beta", "1", "--format", "json"
@@ -628,6 +641,10 @@ class TestToleranceDefaults:
         _, out, _ = run(capsys, *argv)
         assert "spread = 7.99222e-10" in out
         assert "maximal = false" in out
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert doc["spread"] > 1e-10
+        assert doc["is_maximal"] is False
 
 
 def test_readme_find_crossings_example_is_current(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import walkentropy.cli
 import walkentropy.entropy
 from conftest import (
+    TRIANGLE_AND_SQUARE,
     TWO_K4,
     centrality,
     complete_graph,
@@ -27,7 +28,7 @@ from conftest import (
     taylor_diagonal_oracle,
 )
 from walkentropy.cli import _csv_lines, main
-from walkentropy.entropy import MAXIMALITY_TOL, _row_spreads, _scan_table, walk_entropy
+from walkentropy.entropy import _row_spreads, _scan_table, walk_entropy
 from walkentropy.graphs import Graph, hm_graph, parse_edge_list, serialize_edge_list
 from walkentropy.spectral import CentralityOverflowError, eigendecompose
 from walkentropy.temperature import CROSSING_SPREAD_TOL
@@ -42,28 +43,29 @@ H4_ROOTS = (0.499001412933, 1.912023505180)
 
 class TestWalkEntropy:
     def test_complete_graph_flat_at_log_n(self):
-        d = eigendecompose(complete_graph(4))
+        g = complete_graph(4)
         for beta in SAMPLED_BETAS:
-            report = walk_entropy(d, beta)
+            report = walk_entropy(g, beta)
             assert report.entropy == pytest.approx(math.log(4), abs=1e-12)
+            assert report.spread <= 1e-10
             assert report.is_maximal
 
     def test_beta_zero_uniform(self, corpus):
         for g in corpus[:25]:
-            report = walk_entropy(eigendecompose(g), 0.0)
+            report = walk_entropy(g, 0.0)
             assert report.entropy == pytest.approx(math.log(g.n), abs=1e-12)
             assert report.is_maximal
             assert report.deficit >= -1e-12
 
     def test_one_vertex_entropy_is_positive_zero(self):
-        report = walk_entropy(eigendecompose(Graph(1, frozenset())), 1.0)
+        report = walk_entropy(Graph(1, frozenset()), 1.0)
         assert math.copysign(1.0, report.entropy) == 1.0
         assert math.copysign(1.0, report.deficit) == 1.0
         assert report.is_maximal
 
     def test_star_at_beta_one_below_maximum(self):
         g = star_graph(3)
-        report = walk_entropy(eigendecompose(g), 1.0)
+        report = walk_entropy(g, 1.0)
         assert report.entropy < math.log(4) - 1e-3
         # independent route: entropy from the exact-walk Taylor diagonal
         entropy, spread = plain_entropy(taylor_diagonal_oracle(g, 1.0).values)
@@ -72,9 +74,8 @@ class TestWalkEntropy:
 
     def test_bounds_on_corpus(self, corpus):
         for g in corpus[:60]:
-            d = eigendecompose(g)
             for beta in SAMPLED_BETAS:
-                report = walk_entropy(d, beta)
+                report = walk_entropy(g, beta)
                 assert 0.0 <= report.entropy <= math.log(g.n) + 1e-12
                 assert report.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
                 assert report.deficit >= -1e-12
@@ -83,56 +84,75 @@ class TestWalkEntropy:
         for g in corpus:
             if not is_walk_regular(g).is_walk_regular:
                 continue
-            d = eigendecompose(g)
             for beta in SAMPLED_BETAS:
-                report = walk_entropy(d, beta)
+                report = walk_entropy(g, beta)
                 assert report.deficit == pytest.approx(0.0, abs=1e-12)
+                assert report.spread <= 1e-10
                 assert report.is_maximal
 
     def test_entropy_agrees_across_routes(self, corpus):
         for g in corpus[:40]:
-            d = eigendecompose(g)
             for beta in (0.25, 1.0, 2.0):
-                spectral = walk_entropy(d, beta)
+                spectral = walk_entropy(g, beta)
                 entropy, spread = plain_entropy(taylor_diagonal_oracle(g, beta).values)
                 assert entropy == pytest.approx(spectral.entropy, abs=1e-9)
                 assert spread == pytest.approx(spectral.spread, abs=1e-9)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            walk_entropy(eigendecompose(complete_graph(3)), -0.5)
+            walk_entropy(complete_graph(3), -0.5)
 
     def test_nan_beta_rejected(self):
         with pytest.raises(ValueError, match="beta must be finite, got nan"):
-            walk_entropy(eigendecompose(hm_graph(4)), math.nan)
+            walk_entropy(hm_graph(4), math.nan)
 
 
 class TestIsEntropyMaximal:
     def test_h4_at_crossing(self):
-        d = eigendecompose(hm_graph(4))
-        assert walk_entropy(d, H4_ROOTS[0]).spread <= CROSSING_SPREAD_TOL
-        assert walk_entropy(d, H4_ROOTS[1]).spread <= CROSSING_SPREAD_TOL
+        # a float near a crossing: the spread is within the crossing
+        # tolerance, yet HM(4) is not walk-regular, so it is not maximal
+        g = hm_graph(4)
+        for root in H4_ROOTS:
+            report = walk_entropy(g, root)
+            assert report.spread <= CROSSING_SPREAD_TOL
+            assert not report.is_maximal
 
     def test_h4_at_beta_one(self):
-        d = eigendecompose(hm_graph(4))
-        assert not walk_entropy(d, 1.0).is_maximal
-        cd = centrality(d, 1.0)
+        g = hm_graph(4)
+        report = walk_entropy(g, 1.0)
+        assert report.spread > 1e-10
+        assert not report.is_maximal
+        cd = centrality(eigendecompose(g), 1.0)
         assert cd.values.max() - cd.values.min() == pytest.approx(0.6937, abs=1e-3)
 
     def test_complete_graphs_always_maximal(self):
         for n in (2, 4, 7):
-            d = eigendecompose(complete_graph(n))
+            g = complete_graph(n)
             for beta in SAMPLED_BETAS:
-                assert walk_entropy(d, beta).is_maximal
+                report = walk_entropy(g, beta)
+                assert report.spread <= 1e-10
+                assert report.is_maximal
 
     def test_spread_criterion_not_entropy_value(self):
-        # decided on the diagonal spread: a spread above tolerance (1.58e-5
-        # here) flips the verdict though the deficit is quadratically small
-        d = eigendecompose(hm_graph(4))
+        # the spread measures the distance from maximal: 1.58e-5 here,
+        # though the deficit is quadratically small
+        g = hm_graph(4)
         beta = H4_ROOTS[0] + 1e-4
-        report = walk_entropy(d, beta)
+        report = walk_entropy(g, beta)
+        assert report.spread > 1e-10
         assert not report.is_maximal
         assert report.deficit < 1e-9
+
+
+class TestMaximalityIsTheExactVerdict:
+    """At a float beta > 0 walk entropy is maximal exactly for a walk-regular
+    graph (Lindemann-Weierstrass: a float is rational), whatever the spread."""
+
+    def test_flag_is_beta_zero_or_walk_regular(self, corpus):
+        for g in corpus + [hm_graph(m) for m in range(3, 7)] + [TRIANGLE_AND_SQUARE]:
+            regular = is_walk_regular(g).is_walk_regular
+            for beta in (0.0, 0.25, 1.0, 3.0) + H4_ROOTS:
+                assert walk_entropy(g, beta).is_maximal == (beta == 0 or regular)
 
 
 # scan-table columns
@@ -194,9 +214,10 @@ class TestTraceOverflow:
     """An overflowing trace is an error, not garbage."""
 
     def test_single_beta(self):
-        d = eigendecompose(parse_edge_list(TWO_K4))
+        g = parse_edge_list(TWO_K4)
+        d = eigendecompose(g)
         with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.45$"):
-            walk_entropy(d, 236.45)
+            walk_entropy(g, 236.45)
         with pytest.raises(CentralityOverflowError, match="trace .* at beta=236.45$"):
             centrality(d, 236.45)
 
@@ -286,12 +307,13 @@ class TestBatchedScanIsPerPoint:
         d = eigendecompose(g)
         # stay below the overflow of the trace, log n + beta * lambda_max
         beta_max = min(beta_min + steps * step, 700.0 / max(1.0, float(d.eigenvalues[0])))
-        reps = [c[0] for c in is_walk_regular(g).classes]
+        verdict = is_walk_regular(g)
+        reps = [c[0] for c in verdict.classes]
         rows = _scan_table(d, beta_min, beta_max, step, reps).tolist()
-        oracle = per_point_scan(d, beta_min, beta_max, step, MAXIMALITY_TOL)
+        oracle = per_point_scan(d, beta_min, beta_max, step, verdict.is_walk_regular)
         assert len(rows) == len(oracle)
         for row, o in zip(rows, oracle):
-            w, cd = walk_entropy(d, o.beta), centrality(d, o.beta)
+            w, cd = walk_entropy(g, o.beta), centrality(d, o.beta)
             assert row == _table_row(o, reps) == _table_row(w, reps)
             assert _fields(o) == _fields(w)
             assert np.array_equal(o.probabilities, w.probabilities)
@@ -304,9 +326,10 @@ class TestBatchedScanIsPerPoint:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.912023505180, 7.5])
     def test_single_beta_routes_agree(self, beta):
-        d = eigendecompose(hm_graph(4))
-        o = per_point_report(d, beta, MAXIMALITY_TOL)
-        r = walk_entropy(d, beta)
+        g = hm_graph(4)
+        d = eigendecompose(g)
+        o = per_point_report(d, beta, is_walk_regular(g).is_walk_regular)
+        r = walk_entropy(g, beta)
         assert _fields(r) == _fields(o)
         assert np.array_equal(r.probabilities, o.probabilities)
         # the scan table's one-row grid, with f at every vertex

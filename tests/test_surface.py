@@ -39,7 +39,6 @@ PUBLIC_API = [
     "EntropyReport",
     "ExactWalkTable",
     "Graph",
-    "MAXIMALITY_TOL",
     "PairwiseCrossing",
     "SpectralDecomposition",
     "WalkRegularityVerdict",
